@@ -11,6 +11,14 @@ Basis keys inside one combination must be of a single kind — posets never mix
 with permutations, and tensors never mix with plain keys — so that two
 different bases cannot be confused silently.
 
+Sums are built in one place: the :class:`LinComb` constructor accumulates any
+iterable of ``(key, coeff)`` pairs, and :meth:`LinComb.sum` feeds it
+combinations and pairs alike, so a loop collects its terms and builds once.
+A combination keeps its terms unordered; only :meth:`LinComb.terms`,
+:meth:`LinComb.support` and :func:`format_lincomb` produce the canonical
+order, by the keys' ``sort_key()``.  Every key kind stores its hash when it is
+made and its sort key when first asked.
+
 The linear-combination literal grammar is
 ``3/2*SP(2; 1<2) - SP(2;) + (1+2I)*SP(2; 2<1)``: terms are joined by
 top-level ``+``/``-``, an optional exact scalar coefficient precedes ``*``,
@@ -26,6 +34,7 @@ from functools import lru_cache
 
 from .poset_core import (
     DoublePoset,
+    SpecialPoset,
     compose,
     enumerate_family,
     ideals,
@@ -38,7 +47,6 @@ __all__ = [
     "I",
     "LinComb",
     "Tensor",
-    "Tensor2",
     "antipode",
     "apply_slot",
     "as_lincomb",
@@ -231,19 +239,25 @@ class Tensor:
     """Ordered tuple of basis keys; the key type of coproduct outputs.
 
     Coproducts produce two slots; iterated coproducts in the axiom checkers
-    produce more.  Factors are never nested tensors.
+    produce more.  Factors are never nested tensors.  The hash is stored at
+    construction and the sort key on first use.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_hash", "_key")
 
     def __init__(self, *factors):
-        self.factors = tuple(factors)
+        self.factors = factors
+        self._hash = hash(factors)
+        self._key = None
 
     def degree(self):
         return sum(key_degree(f) for f in self.factors)
 
     def sort_key(self):
-        return tuple(f.sort_key() for f in self.factors)
+        key = self._key
+        if key is None:
+            key = self._key = tuple(f.sort_key() for f in self.factors)
+        return key
 
     def literal(self):
         return " (x) ".join(f.literal() for f in self.factors)
@@ -254,13 +268,10 @@ class Tensor:
         return self.factors == other.factors
 
     def __hash__(self):
-        return hash(self.factors)
+        return self._hash
 
     def __repr__(self):
         return self.literal()
-
-
-Tensor2 = Tensor
 
 
 def key_degree(key):
@@ -270,57 +281,90 @@ def key_degree(key):
     return key.n
 
 
-def _kind(key):
-    if isinstance(key, Tensor):
-        return ("tensor", len(key.factors))
-    if isinstance(key, DoublePoset):
-        return DoublePoset
-    return type(key)
+def _check_kinds(keys):
+    """Raise unless all keys are of one kind: double posets (special or
+    not), permutations, or tensors with one number of slots."""
+    kinds = {type(k) for k in keys}
+    if kinds == {Tensor}:
+        kinds = {len(k.factors) for k in keys}
+    elif kinds == {DoublePoset, SpecialPoset}:
+        return
+    if len(kinds) > 1:
+        raise ValueError("mixed basis kinds")
 
 
 # -- linear combinations -----------------------------------------------------------
 
 
 class LinComb:
-    """Finitely supported map from basis keys to nonzero exact scalars."""
+    """Finitely supported map from basis keys to nonzero exact scalars.
 
-    __slots__ = ("_terms",)
+    Every combination is built by the constructor, which sums the
+    coefficients of repeated keys, drops zeros and checks the basis kind
+    once.  The terms are kept unordered: :meth:`terms`, :meth:`support` and
+    :func:`format_lincomb` sort them into canonical key order on first use.
+    """
+
+    __slots__ = ("_terms", "_sorted")
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
         acc = {}
+        get = acc.get
         for key, coeff in items:
-            coeff = normalize_scalar(coeff)
-            if key in acc:
-                acc[key] = normalize_scalar(acc[key] + coeff)
-            else:
-                acc[key] = coeff
-        kinds = set()
-        kept = []
-        for key, coeff in acc.items():
-            if not coeff:
-                continue
-            kinds.add(_kind(key))
-            kept.append((key, coeff))
-        if len(kinds) > 1:
-            raise ValueError("mixed basis kinds")
-        kept.sort(key=lambda kv: kv[0].sort_key())
-        self._terms = dict(kept)
+            if type(coeff) is not Fraction:
+                coeff = normalize_scalar(coeff)
+            old = get(key)
+            if old is not None:
+                coeff = old + coeff
+                if type(coeff) is not Fraction:
+                    coeff = normalize_scalar(coeff)
+            acc[key] = coeff
+        if not all(acc.values()):
+            acc = {k: c for k, c in acc.items() if c}
+        if len(acc) > 1:
+            _check_kinds(acc)
+        self._terms = acc
+        self._sorted = len(acc) < 2
 
     @classmethod
     def basis(cls, key, coeff=1):
-        return cls([(key, coeff)])
+        return cls(((key, coeff),))
 
     @classmethod
     def zero(cls):
         return cls()
 
+    @classmethod
+    def sum(cls, parts):
+        """Sum of an iterable of combinations and ``(key, coeff)`` pairs,
+        accumulated in one build."""
+
+        def pairs():
+            for part in parts:
+                if isinstance(part, LinComb):
+                    yield from part._terms.items()
+                else:
+                    yield part
+
+        return cls(pairs())
+
+    def _canonical(self):
+        if not self._sorted:
+            self._terms = dict(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key()))
+            self._sorted = True
+        return self._terms
+
     def terms(self):
         """(key, coefficient) pairs in canonical key order."""
-        return list(self._terms.items())
+        return list(self._canonical().items())
+
+    def items(self):
+        """(key, coefficient) pairs in no particular order."""
+        return self._terms.items()
 
     def support(self):
-        return list(self._terms.keys())
+        return list(self._canonical())
 
     def coeff(self, key):
         return self._terms.get(key, Fraction(0))
@@ -333,21 +377,21 @@ class LinComb:
 
     def apply(self, fn):
         """Linear extension of a basis-key map ``fn: key -> key | LinComb``."""
-        out = []
-        for key, coeff in self._terms.items():
-            img = as_lincomb(fn(key))
-            out.extend((k, coeff * c) for k, c in img.terms())
-        return LinComb(out)
+        return LinComb(
+            (k, coeff * c)
+            for key, coeff in self._terms.items()
+            for k, c in as_lincomb(fn(key)).items()
+        )
 
     def __add__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        return LinComb(list(self._terms.items()) + list(other._terms.items()))
+        return LinComb.sum((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        return self + (-other)
+        return LinComb.sum((self, *((k, -c) for k, c in other._terms.items())))
 
     def __neg__(self):
         return LinComb((k, -c) for k, c in self._terms.items())
@@ -397,7 +441,7 @@ def tensor_of(*factors):
         factor = as_lincomb(factor)
         step = []
         for prefix, c in result:
-            for key, d in factor.terms():
+            for key, d in factor.items():
                 parts = key.factors if isinstance(key, Tensor) else (key,)
                 step.append((prefix + parts, c * d))
         result = step
@@ -407,11 +451,11 @@ def tensor_of(*factors):
 def apply_slot(x, slot, op):
     """Apply ``op`` (key -> key | LinComb) inside one tensor slot, flattening."""
     out = []
-    for T, c in as_lincomb(x).terms():
-        img = as_lincomb(op(T.factors[slot]))
-        for key, d in img.terms():
+    for T, c in as_lincomb(x).items():
+        head, tail = T.factors[:slot], T.factors[slot + 1 :]
+        for key, d in as_lincomb(op(T.factors[slot])).items():
             parts = key.factors if isinstance(key, Tensor) else (key,)
-            out.append((Tensor(*T.factors[:slot], *parts, *T.factors[slot + 1 :]), c * d))
+            out.append((Tensor(*head, *parts, *tail), c * d))
     return LinComb(out)
 
 
@@ -430,7 +474,7 @@ def _key_product(a, b):
     if isinstance(a, Tensor) and isinstance(b, Tensor):
         if len(a.factors) != len(b.factors):
             raise ValueError("mixed basis kinds")
-        return tensor_of(*(_key_product_lc(fa, fb) for fa, fb in zip(a.factors, b.factors)))
+        return tensor_of(*(_key_product(fa, fb) for fa, fb in zip(a.factors, b.factors)))
     if isinstance(a, DoublePoset) and isinstance(b, DoublePoset):
         return LinComb.basis(compose(a, b))
     from .fqsym import Permutation, shuffle_product
@@ -440,18 +484,16 @@ def _key_product(a, b):
     raise ValueError("mixed basis kinds")
 
 
-def _key_product_lc(a, b):
-    return _key_product(a, b)
-
-
 def lc_product(x, y):
     """Bilinear extension of the basis product (composition or shuffle)."""
-    out = []
-    for kx, cx in as_lincomb(x).terms():
-        for ky, cy in as_lincomb(y).terms():
-            for key, c in _key_product(kx, ky).terms():
-                out.append((key, cx * cy * c))
-    return LinComb(out)
+    x = as_lincomb(x)
+    y = as_lincomb(y)
+    return LinComb(
+        (key, cx * cy * c)
+        for kx, cx in x.items()
+        for ky, cy in y.items()
+        for key, c in _key_product(kx, ky).items()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -480,7 +522,7 @@ def reduced_coproduct(x):
     def reduced(key):
         return LinComb(
             (T, c)
-            for T, c in _key_coproduct(key).terms()
+            for T, c in _key_coproduct(key).items()
             if all(key_degree(f) > 0 for f in T.factors)
         )
 
@@ -557,8 +599,10 @@ def _key_pairing(a, b):
 def pairing(x, y):
     """Bilinear extension of the basis pairing; exact scalar result."""
     total = Fraction(0)
-    for kx, cx in as_lincomb(x).terms():
-        for ky, cy in as_lincomb(y).terms():
+    x = as_lincomb(x)
+    y = as_lincomb(y)
+    for kx, cx in x.items():
+        for ky, cy in y.items():
             v = _key_pairing(kx, ky)
             if v:
                 total = normalize_scalar(total + cx * cy * v)
@@ -595,10 +639,14 @@ def _key_antipode(key):
     if key_degree(key) == 0:
         result = LinComb.basis(key)
     else:
-        result = -LinComb.basis(key)
-        for T, c in reduced_coproduct(LinComb.basis(key)).terms():
-            left, right = T.factors
-            result = result - c * lc_product(_key_antipode(left), LinComb.basis(right))
+        result = LinComb(
+            [(key, -1)]
+            + [
+                (k, -c * d)
+                for T, c in reduced_coproduct(key).items()
+                for k, d in lc_product(_key_antipode(T.factors[0]), T.factors[1]).items()
+            ]
+        )
     _ANTIPODE_CACHE[key] = result
     return result
 

@@ -17,7 +17,6 @@ import sys
 import click
 
 from .algebra import (
-    LinComb,
     coproduct,
     format_lincomb,
     format_scalar,
@@ -193,18 +192,9 @@ _OP_NAMES = ("product", "coproduct", "nwarrow", "prec", "succ", "delta-prec", "d
 _UNARY_OPS = {"coproduct", "delta-prec", "delta-succ"}
 
 
-def _is_permutation_comb(x):
-    return all(isinstance(key, Permutation) for key in x.support())
-
-
 def _nwarrow(x, y):
-    if _is_permutation_comb(x) and _is_permutation_comb(y):
-        out = []
-        for p, a in x.terms():
-            for q, b in y.terms():
-                for key, c in fq_nwarrow(p, q).terms():
-                    out.append((key, a * b * c))
-        return LinComb(out)
+    if all(isinstance(key, Permutation) for z in (x, y) for key, _ in z.items()):
+        return fq_nwarrow(x, y)
     return sp_nwarrow(x, y)
 
 

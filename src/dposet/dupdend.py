@@ -21,9 +21,8 @@ from functools import lru_cache
 from .algebra import (
     LinComb,
     Tensor,
-    as_lincomb,
+    apply_slot,
     format_lincomb,
-    key_degree,
     lc_product,
     pairing,
     reduced_coproduct,
@@ -64,36 +63,25 @@ def sp_nwarrow(x, y):
     """Bilinear extension of the northwest graft to special posets."""
     x = require_augmented(x)
     y = require_augmented(y)
-    out = LinComb()
-    for P, a in x.terms():
-        for Q, b in y.terms():
-            out = out + LinComb(((nwarrow(P, Q), a * b),))
-    return out
+    return LinComb((nwarrow(P, Q), a * b) for P, a in x.items() for Q, b in y.items())
 
 
 # -- split coproducts -------------------------------------------------------------
 
 
 def _split_coproducts(x, anchor, check, failure):
-    prec = LinComb()
-    succ = LinComb()
-    for P, c in require_augmented(x).terms():
+    halves = ([], [])  # prec: ideals avoiding the pivot; succ: containing it
+    for P, c in require_augmented(x).items():
         if not check(P):
             raise ValueError(failure)
         n = P.n
         labels = frozenset(range(1, n + 1))
         pivot = anchor(P)
         for ideal in ideals(P):
-            if not 0 < len(ideal) < n:
-                continue
-            term = LinComb(
-                ((Tensor(restrict(P, labels - ideal), restrict(P, ideal)), c),)
-            )
-            if pivot in ideal:
-                succ = succ + term
-            else:
-                prec = prec + term
-    return prec, succ
+            if 0 < len(ideal) < n:
+                T = Tensor(restrict(P, labels - ideal), restrict(P, ideal))
+                halves[pivot in ideal].append((T, c))
+    return LinComb(halves[0]), LinComb(halves[1])
 
 
 def sp_dendriform_coproducts(x):
@@ -137,10 +125,11 @@ def _prec_basis(F, G):
         return LinComb.basis(b_plus(compose(under_root, G)))
     first = restrict(F, range(1, k + 1))
     rest = restrict(F, range(k + 1, F.n + 1))
-    out = _prec_basis(first, compose(rest, G))
-    for Z, c in _prec_basis(rest, G).terms():
-        out = out + (LinComb.basis(compose(first, Z)) - _prec_basis(first, Z)) * c
-    return out
+    parts = [_prec_basis(first, compose(rest, G))]
+    for Z, c in _prec_basis(rest, G).items():
+        parts.append((compose(first, Z), c))
+        parts.extend((K, -c * d) for K, d in _prec_basis(first, Z).items())
+    return LinComb.sum(parts)
 
 
 def _forest_ideal(x):
@@ -160,11 +149,12 @@ def spf_prec(x, y):
     """
     x = _forest_ideal(x)
     y = _forest_ideal(y)
-    out = LinComb()
-    for F, a in x.terms():
-        for G, b in y.terms():
-            out = out + _prec_basis(F, G) * (a * b)
-    return out
+    return LinComb(
+        (K, a * b * c)
+        for F, a in x.items()
+        for G, b in y.items()
+        for K, c in _prec_basis(F, G).items()
+    )
 
 
 def spf_succ(x, y):
@@ -219,10 +209,6 @@ AXIOM_SUITES = (
 )
 
 
-def _basis_lc(P):
-    return LinComb.basis(P)
-
-
 def _graded(family, max_degree):
     return {n: enumerate_family(family, n) for n in range(1, max_degree + 1)}
 
@@ -249,49 +235,24 @@ def _triples(family, max_degree):
 
 def _span(tens, left, right):
     """Sum of left(a) (x) right(b) over the terms a (x) b of ``tens``."""
-    out = LinComb()
-    for T, c in as_lincomb(tens).terms():
-        a, b = T.factors
-        out = out + tensor_of(left(a), right(b)) * c
-    return out
+    return LinComb(
+        (K, c * d)
+        for T, c in tens.items()
+        for K, d in tensor_of(left(T.factors[0]), right(T.factors[1])).items()
+    )
 
 
 def _mix(tx, ty, left, right):
     """Sum of left(a, u) (x) right(b, v) over terms a (x) b of ``tx`` and
     u (x) v of ``ty``."""
-    out = LinComb()
-    for Tx, c in as_lincomb(tx).terms():
-        a, b = Tx.factors
-        for Ty, d in as_lincomb(ty).terms():
-            u, v = Ty.factors
-            out = out + tensor_of(left(a, u), right(b, v)) * (c * d)
-    return out
-
-
-def _slotwise(tens, slot, op):
-    out = LinComb()
-    for T, c in as_lincomb(tens).terms():
-        img = as_lincomb(op(T.factors[slot]))
-        for key, d in img.terms():
-            parts = key.factors if isinstance(key, Tensor) else (key,)
-            factors = T.factors[:slot] + parts + T.factors[slot + 1 :]
-            out = out + LinComb(((Tensor(*factors), c * d),))
-    return out
-
-
-def _tensor_pairing(u, v):
-    total = 0
-    for Tu, c in as_lincomb(u).terms():
-        for Tv, d in as_lincomb(v).terms():
-            if len(Tu.factors) != len(Tv.factors):
-                continue
-            prod = c * d
-            for a, b in zip(Tu.factors, Tv.factors):
-                if not prod:
-                    break
-                prod = prod * pairing(_basis_lc(a), _basis_lc(b))
-            total = total + prod
-    return total
+    return LinComb(
+        (K, c * d * e)
+        for Tx, c in tx.items()
+        for Ty, d in ty.items()
+        for K, e in tensor_of(
+            left(Tx.factors[0], Ty.factors[0]), right(Tx.factors[1], Ty.factors[1])
+        ).items()
+    )
 
 
 def _record(violations, axiom, elements, expected, got):
@@ -313,7 +274,7 @@ def _record(violations, axiom, elements, expected, got):
 def _check_duplicial(max_degree, violations):
     checked = 0
     for P, Q, R in _triples("sp", max_degree):
-        x, y, z = _basis_lc(P), _basis_lc(Q), _basis_lc(R)
+        x, y, z = LinComb.basis(P), LinComb.basis(Q), LinComb.basis(R)
         cases = (
             ("associativity", (x * y) * z, x * (y * z)),
             ("nwarrow-associativity", sp_nwarrow(sp_nwarrow(x, y), z), sp_nwarrow(x, sp_nwarrow(y, z))),
@@ -327,15 +288,13 @@ def _check_duplicial(max_degree, violations):
 
 
 def _coalgebra_cases(P, delta_pair):
-    prec, succ = delta_pair(_basis_lc(P))
-    tilde = prec + succ
-    d_prec = lambda a: delta_pair(_basis_lc(a))[0]
-    d_succ = lambda a: delta_pair(_basis_lc(a))[1]
-    d_tilde = lambda a: reduced_coproduct(_basis_lc(a))
+    prec, succ = delta_pair(LinComb.basis(P))
+    d_prec = lambda a: delta_pair(a)[0]
+    d_succ = lambda a: delta_pair(a)[1]
     return (
-        ("coassociativity-prec", _slotwise(prec, 0, d_prec), _slotwise(prec, 1, d_tilde)),
-        ("coassociativity-mixed", _slotwise(prec, 0, d_succ), _slotwise(succ, 1, d_prec)),
-        ("coassociativity-succ", _slotwise(succ, 0, d_tilde), _slotwise(succ, 1, d_succ)),
+        ("coassociativity-prec", apply_slot(prec, 0, d_prec), apply_slot(prec, 1, reduced_coproduct)),
+        ("coassociativity-mixed", apply_slot(prec, 0, d_succ), apply_slot(succ, 1, d_prec)),
+        ("coassociativity-succ", apply_slot(succ, 0, reduced_coproduct), apply_slot(succ, 1, d_succ)),
     )
 
 
@@ -358,7 +317,7 @@ def _check_dendriform_coalgebra(max_degree, violations):
 def _check_dupdend_compat(max_degree, violations):
     checked = 0
     for P, Q in _pairs("sp", max_degree):
-        x, y = _basis_lc(P), _basis_lc(Q)
+        x, y = LinComb.basis(P), LinComb.basis(Q)
         dx = reduced_coproduct(x)
         dy = reduced_coproduct(y)
         px, sx = sp_dendriform_coproducts(x)
@@ -410,7 +369,7 @@ def _check_dupdend_compat(max_degree, violations):
 def _check_codendriform(max_degree, violations):
     checked = 0
     for P, Q in _pairs("spp", max_degree):
-        x, y = _basis_lc(P), _basis_lc(Q)
+        x, y = LinComb.basis(P), LinComb.basis(Q)
         dx = reduced_coproduct(x)
         dy = reduced_coproduct(y)
         px, sx = spp_dendriform_coproducts(x)
@@ -444,29 +403,27 @@ def _check_codendriform(max_degree, violations):
 def _check_dendriform_hopf(max_degree, violations):
     checked = 0
     for P, Q in _pairs("spf", max_degree):
-        x, y = _basis_lc(P), _basis_lc(Q)
+        x, y = LinComb.basis(P), LinComb.basis(Q)
         dx = reduced_coproduct(x)
         dy = reduced_coproduct(y)
-        prec = lambda a, b: spf_prec(_basis_lc(a), _basis_lc(b))
-        succ = lambda a, b: spf_succ(_basis_lc(a), _basis_lc(b))
         cases = (
             (
                 "reduced-coproduct-of-prec",
                 reduced_coproduct(spf_prec(x, y)),
                 tensor_of(P, Q)
-                + _span(dy, lambda a: prec(P, a), lambda b: b)
+                + _span(dy, lambda a: spf_prec(P, a), lambda b: b)
                 + _span(dx, lambda a: a, lambda b: compose(b, Q))
-                + _span(dx, lambda a: prec(a, Q), lambda b: b)
-                + _mix(dx, dy, lambda a, u: prec(a, u), lambda b, v: compose(b, v)),
+                + _span(dx, lambda a: spf_prec(a, Q), lambda b: b)
+                + _mix(dx, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
             ),
             (
                 "reduced-coproduct-of-succ",
                 reduced_coproduct(spf_succ(x, y)),
                 tensor_of(Q, P)
-                + _span(dy, lambda a: succ(P, a), lambda b: b)
+                + _span(dy, lambda a: spf_succ(P, a), lambda b: b)
                 + _span(dy, lambda a: a, lambda b: compose(P, b))
-                + _span(dx, lambda a: succ(a, Q), lambda b: b)
-                + _mix(dx, dy, lambda a, u: succ(a, u), lambda b, v: compose(b, v)),
+                + _span(dx, lambda a: spf_succ(a, Q), lambda b: b)
+                + _mix(dx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
             ),
         )
         for name, lhs, rhs in cases:
@@ -479,11 +436,9 @@ def _check_dendriform_hopf(max_degree, violations):
 def _check_bidendriform(max_degree, violations):
     checked = 0
     for P, Q in _pairs("spf", max_degree):
-        x, y = _basis_lc(P), _basis_lc(Q)
+        x, y = LinComb.basis(P), LinComb.basis(Q)
         dy = reduced_coproduct(y)
         px, sx = spp_dendriform_coproducts(x)
-        prec = lambda a, b: spf_prec(_basis_lc(a), _basis_lc(b))
-        succ = lambda a, b: spf_succ(_basis_lc(a), _basis_lc(b))
         lhs_pp, lhs_sp = spp_dendriform_coproducts(spf_prec(x, y))
         lhs_ps, lhs_ss = spp_dendriform_coproducts(spf_succ(x, y))
         cases = (
@@ -491,32 +446,32 @@ def _check_bidendriform(max_degree, violations):
                 "prec-of-prec",
                 lhs_pp,
                 tensor_of(P, Q)
-                + _span(dy, lambda a: prec(P, a), lambda b: b)
+                + _span(dy, lambda a: spf_prec(P, a), lambda b: b)
                 + _span(px, lambda a: a, lambda b: compose(b, Q))
-                + _span(px, lambda a: prec(a, Q), lambda b: b)
-                + _mix(px, dy, lambda a, u: prec(a, u), lambda b, v: compose(b, v)),
+                + _span(px, lambda a: spf_prec(a, Q), lambda b: b)
+                + _mix(px, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
             ),
             (
                 "succ-of-prec",
                 lhs_sp,
                 _span(sx, lambda a: a, lambda b: compose(b, Q))
-                + _span(sx, lambda a: prec(a, Q), lambda b: b)
-                + _mix(sx, dy, lambda a, u: prec(a, u), lambda b, v: compose(b, v)),
+                + _span(sx, lambda a: spf_prec(a, Q), lambda b: b)
+                + _mix(sx, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
             ),
             (
                 "prec-of-succ",
                 lhs_ps,
-                _span(px, lambda a: succ(a, Q), lambda b: b)
-                + _span(dy, lambda a: succ(P, a), lambda b: b)
-                + _mix(px, dy, lambda a, u: succ(a, u), lambda b, v: compose(b, v)),
+                _span(px, lambda a: spf_succ(a, Q), lambda b: b)
+                + _span(dy, lambda a: spf_succ(P, a), lambda b: b)
+                + _mix(px, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
             ),
             (
                 "succ-of-succ",
                 lhs_ss,
                 tensor_of(Q, P)
                 + _span(dy, lambda a: a, lambda b: compose(P, b))
-                + _span(sx, lambda a: succ(a, Q), lambda b: b)
-                + _mix(sx, dy, lambda a, u: succ(a, u), lambda b, v: compose(b, v)),
+                + _span(sx, lambda a: spf_succ(a, Q), lambda b: b)
+                + _mix(sx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
             ),
         )
         for name, lhs, rhs in cases:
@@ -533,14 +488,14 @@ def _check_lemma36(max_degree, violations):
         for b in range(1, max_degree - a + 1):
             for P in grades[a]:
                 for Q in grades[b]:
-                    x, y = _basis_lc(P), _basis_lc(Q)
+                    x, y = LinComb.basis(P), LinComb.basis(Q)
                     xy = tensor_of(P, Q)
                     for R in grades[a + b]:
-                        z = _basis_lc(R)
+                        z = LinComb.basis(R)
                         pz, sz = spp_dendriform_coproducts(z)
                         cases = (
-                            ("prec-adjunction", pairing(spf_prec(x, y), z), _tensor_pairing(xy, pz)),
-                            ("succ-adjunction", pairing(spf_succ(x, y), z), _tensor_pairing(xy, sz)),
+                            ("prec-adjunction", pairing(spf_prec(x, y), z), pairing(xy, pz)),
+                            ("succ-adjunction", pairing(spf_succ(x, y), z), pairing(xy, sz)),
                         )
                         for name, lhs, rhs in cases:
                             checked += 1
@@ -549,40 +504,30 @@ def _check_lemma36(max_degree, violations):
     return checked
 
 
-def _fq_nwarrow_lc(x, y):
-    out = LinComb()
-    for p, a in as_lincomb(x).terms():
-        for q, b in as_lincomb(y).terms():
-            out = out + fq_nwarrow(p, q) * (a * b)
-    return out
-
-
 def _fq_split_lc(x):
-    prec = LinComb()
-    succ = LinComb()
-    for p, c in as_lincomb(x).terms():
-        fp, fs = fq_dendriform_coproducts(p)
-        prec = prec + fp * c
-        succ = succ + fs * c
-    return prec, succ
+    halves = ([], [])
+    for p, c in x.items():
+        for half, part in zip(halves, fq_dendriform_coproducts(p)):
+            half.extend((T, c * d) for T, d in part.items())
+    return LinComb(halves[0]), LinComb(halves[1])
 
 
 def _push_theta(tens):
-    return _slotwise(_slotwise(tens, 0, lambda k: theta(_basis_lc(k))), 1, lambda k: theta(_basis_lc(k)))
+    return apply_slot(apply_slot(tens, 0, theta), 1, theta)
 
 
 def _check_theta_dupdend(max_degree, violations):
     checked = 0
     for P, Q in _pairs("sp", max_degree):
-        x, y = _basis_lc(P), _basis_lc(Q)
+        x, y = LinComb.basis(P), LinComb.basis(Q)
         checked += 1
         lhs = theta(sp_nwarrow(x, y))
-        rhs = _fq_nwarrow_lc(theta(x), theta(y))
+        rhs = fq_nwarrow(theta(x), theta(y))
         if lhs != rhs:
             _record(violations, "theta-nwarrow", (P, Q), rhs, lhs)
     for n in range(1, max_degree + 1):
         for P in enumerate_family("sp", n):
-            x = _basis_lc(P)
+            x = LinComb.basis(P)
             prec, succ = sp_dendriform_coproducts(x)
             fq_prec, fq_succ = _fq_split_lc(theta(x))
             cases = (

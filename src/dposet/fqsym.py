@@ -13,7 +13,7 @@ import itertools
 import re
 from functools import lru_cache
 
-from .algebra import LinComb, Tensor
+from .algebra import LinComb, Tensor, as_lincomb
 
 __all__ = [
     "Permutation",
@@ -33,15 +33,20 @@ __all__ = [
 
 
 class Permutation:
-    """Permutation of {1..n} in one-line notation."""
+    """Permutation of {1..n} in one-line notation.
 
-    __slots__ = ("word",)
+    The hash is stored at construction and the sort key on first use.
+    """
+
+    __slots__ = ("word", "_hash", "_key")
 
     def __init__(self, word):
         w = tuple(int(a) for a in word)
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError("not a permutation")
         self.word = w
+        self._hash = hash(("perm", w))
+        self._key = None
 
     @property
     def n(self):
@@ -61,7 +66,10 @@ class Permutation:
         return Permutation(self.word[v - 1] for v in other.word)
 
     def sort_key(self):
-        return (len(self.word), self.word)
+        key = self._key
+        if key is None:
+            key = self._key = (len(self.word), self.word)
+        return key
 
     def literal(self):
         return format_permutation(self)
@@ -72,7 +80,7 @@ class Permutation:
         return self.word == other.word
 
     def __hash__(self):
-        return hash(("perm", self.word))
+        return self._hash
 
     def __repr__(self):
         return format_permutation(self)
@@ -185,19 +193,31 @@ def weak_interval_down(q):
     ]
 
 
-def fq_nwarrow(p, q):
-    """Shuffles of p with shifted q in which every letter of q lands after
-    the maximal letter of p."""
+def _nwarrow_words(p, q):
+    if not (isinstance(p, Permutation) and isinstance(q, Permutation)):
+        raise ValueError("mixed basis kinds")
     if p.n == 0 or q.n == 0:
         raise ValueError("nwarrow needs nonempty operands")
     shifted = tuple(v + p.n for v in q.word)
-    cutoff_index = p.word.index(p.n)
-    out = []
+    top = p.word.index(p.n)
     for positions, word in _shuffle_words(p.word, shifted):
-        bound = positions[cutoff_index]
-        if all(pos > bound for pos in range(p.n + q.n) if pos not in set(positions)):
-            out.append((Permutation(word), 1))
-    return LinComb(out)
+        # No letter of q before the maximal letter of p.
+        if positions[top] == top:
+            yield Permutation(word)
+
+
+def fq_nwarrow(x, y):
+    """Bilinear in permutations (or combinations of them): the shuffles of p
+    with shifted q in which every letter of q lands after the maximal letter
+    of p."""
+    x = as_lincomb(x)
+    y = as_lincomb(y)
+    return LinComb(
+        (word, a * b)
+        for p, a in x.items()
+        for q, b in y.items()
+        for word in _nwarrow_words(p, q)
+    )
 
 
 def fq_dendriform_coproducts(p):

@@ -608,10 +608,11 @@ class GradedMapSpec:
 
     def __call__(self, x):
         """Linear extension of :meth:`image` to combinations."""
-        out = LinComb.zero()
-        for key, coeff in as_lincomb(x).terms():
-            out = out + coeff * self.image(key)
-        return out
+        return LinComb(
+            (k, coeff * c)
+            for key, coeff in as_lincomb(x).items()
+            for k, c in self.image(key).items()
+        )
 
 
 def verify_graded_isometry(spec, max_degree):
@@ -631,10 +632,6 @@ def verify_graded_isometry(spec, max_degree):
             raise ValueError(f"missing degree block: {n}")
     violations = []
     checks = 0
-
-    def phi(x):
-        return spec(x)
-
     for a in range(1, max_degree):
         for b in range(1, max_degree - a + 1):
             src_a, _ = _family_basis(spec.source, a)

@@ -91,12 +91,10 @@ def theta(x):
     A surjective Hopf-algebra morphism from special posets onto the
     permutation space, isometric for the two pairings.
     """
-    out = LinComb()
-    for P, coeff in as_lincomb(x).terms():
-        if not is_special(P):
-            raise ValueError("not a special poset")
-        out = out + LinComb((sigma, coeff) for sigma in _extensions(P))
-    return out
+    x = as_lincomb(x)
+    if not all(is_special(P) for P, _ in x.items()):
+        raise ValueError("not a special poset")
+    return LinComb((sigma, coeff) for P, coeff in x.items() for sigma in _extensions(P))
 
 
 # -- the permutation <-> plane poset bijections ----------------------------------
@@ -168,15 +166,15 @@ def theta_hof_inverse(y):
     """Solve ``theta(result) == y`` with the result supported on heap-ordered
     forests; defined degree by degree by inverting the square matrix of
     ``theta`` over the heap-ordered forests of that degree."""
-    out = LinComb()
+    out = []
     by_degree = {}
-    for sigma, coeff in as_lincomb(y).terms():
+    for sigma, coeff in as_lincomb(y).items():
         if not isinstance(sigma, Permutation):
             raise ValueError("not a permutation basis element")
         by_degree.setdefault(sigma.n, []).append((sigma, coeff))
     for n, terms in sorted(by_degree.items()):
         if n == 0:
-            out = out + LinComb(((empty_poset(), coeff) for _, coeff in terms))
+            out += ((empty_poset(), coeff) for _, coeff in terms)
             continue
         basis, index, inverse = _hof_theta_inverse(n)
         vec = [normalize_scalar(0)] * len(basis)
@@ -189,8 +187,8 @@ def theta_hof_inverse(y):
             sum((c * v for c, v in zip(row, vec)), normalize_scalar(0))
             for row in inverse
         ]
-        out = out + LinComb(zip(basis, coords))
-    return out
+        out += zip(basis, coords)
+    return LinComb(out)
 
 
 def upsilon(x):
@@ -202,10 +200,6 @@ def upsilon(x):
 
 
 # -- rewriting toward heap-ordered forests ---------------------------------------
-
-
-def _poset_from_covers(n, covers):
-    return SpecialPoset(n, covers)
 
 
 def rewrite_step(P):
@@ -234,8 +228,8 @@ def rewrite_step(P):
     if rule1:
         i, j = rule1[0]
         base = edges - {(j, i)}
-        p1 = _poset_from_covers(n, base)
-        p2 = _poset_from_covers(n, base | {(i, j)})
+        p1 = SpecialPoset(n, base)
+        p2 = SpecialPoset(n, base | {(i, j)})
         return LinComb(((p1, 1), (p2, -1)))
 
     rule2 = sorted(
@@ -246,9 +240,9 @@ def rewrite_step(P):
     )
     if rule2:
         i, j, k = rule2[0]
-        p3 = _poset_from_covers(n, edges - {(j, k)})
-        p4 = _poset_from_covers(n, (edges - {(j, k)}) | {(i, j)})
-        p5 = _poset_from_covers(n, (edges - {(i, k), (j, k)}) | {(i, j), (j, k)})
+        p3 = SpecialPoset(n, edges - {(j, k)})
+        p4 = SpecialPoset(n, (edges - {(j, k)}) | {(i, j)})
+        p5 = SpecialPoset(n, (edges - {(i, k), (j, k)}) | {(i, j), (j, k)})
         return LinComb(((p3, 1), (p4, -1), (p5, 1)))
 
     raise ValueError("already a heap-ordered forest")
@@ -260,7 +254,6 @@ def upsilon_by_rewriting(x, fuel=100000):
     Agrees with :func:`upsilon`; termination is enforced by ``fuel``.
     """
     pending = as_lincomb(x)
-    done = LinComb()
     while True:
         target = None
         for P, _ in pending.terms():
@@ -270,7 +263,7 @@ def upsilon_by_rewriting(x, fuel=100000):
                 target = P
                 break
         if target is None:
-            return done + pending
+            return pending
         if fuel <= 0:
             raise ValueError("rewrite fuel exhausted")
         fuel -= 1

@@ -35,8 +35,6 @@ __all__ = [
     "b_plus",
     "canonical_form",
     "classify",
-    "codec_format",
-    "codec_parse",
     "compose",
     "empty_poset",
     "enumerate_family",
@@ -44,7 +42,6 @@ __all__ = [
     "has_forest_hasse",
     "ideals",
     "induced_order_ranks",
-    "induced_special",
     "iota",
     "is_heap_forest",
     "is_heap_ordered",
@@ -54,7 +51,6 @@ __all__ = [
     "is_plane_wn",
     "is_special",
     "is_special_plane",
-    "is_special_plane_by_pattern",
     "is_special_plane_forest",
     "is_special_wn",
     "kappa",
@@ -110,18 +106,42 @@ def _natural_up(n):
     return tuple(full ^ ((1 << (v + 1)) - 1) for v in range(n))
 
 
+def _pair_code(n, up1, up2):
+    """The closure pairs of both orders, flattened, each order closed by a 0.
+
+    Labels are at least 1, so the code compares like ``(pairs(1), pairs(2))``.
+    """
+    flat = []
+    for up in (up1, up2):
+        for v in range(n):
+            for w in _bits(up[v]):
+                flat += (v + 1, w + 1)
+        flat.append(0)
+    return bytes(flat) if n < 256 else tuple(flat)
+
+
 class DoublePoset:
-    """Two strict partial orders on the labels 1..n, stored closed."""
+    """Two strict partial orders on the labels 1..n, stored closed.
+
+    The hash is stored at construction and the sort key on first use.
+    """
+
+    __slots__ = ("n", "up1", "up2", "down1", "down2", "_hash", "_key")
 
     def __init__(self, n, pairs1=(), pairs2=()):
         n = int(n)
         if n < 0:
             raise ValueError("bad label")
+        self._set(n, _close(n, pairs1), _close(n, pairs2))
+
+    def _set(self, n, up1, up2):
         self.n = n
-        self.up1 = _close(n, pairs1)
-        self.up2 = _close(n, pairs2)
-        self.down1 = _downs(n, self.up1)
-        self.down2 = _downs(n, self.up2)
+        self.up1 = up1
+        self.up2 = up2
+        self.down1 = _downs(n, up1)
+        self.down2 = _downs(n, up2)
+        self._hash = hash((n, up1, up2))
+        self._key = None
 
     @classmethod
     def _from_masks(cls, n, up1, up2):
@@ -129,11 +149,7 @@ class DoublePoset:
         up2 = tuple(up2)
         target = SpecialPoset if up2 == _natural_up(n) else DoublePoset
         self = object.__new__(target)
-        self.n = n
-        self.up1 = tuple(up1)
-        self.up2 = up2
-        self.down1 = _downs(n, self.up1)
-        self.down2 = _downs(n, self.up2)
+        self._set(n, tuple(up1), up2)
         return self
 
     # -- structural accessors -------------------------------------------
@@ -160,7 +176,11 @@ class DoublePoset:
         return sorted(out)
 
     def sort_key(self):
-        return (self.n, self.pairs(1), self.pairs(2))
+        """Orders like ``(n, pairs(1), pairs(2))``, in a compact form."""
+        key = self._key
+        if key is None:
+            key = self._key = (self.n, _pair_code(self.n, self.up1, self.up2))
+        return key
 
     def literal(self):
         return format_poset(self)
@@ -173,7 +193,7 @@ class DoublePoset:
         return self.n == other.n and self.up1 == other.up1 and self.up2 == other.up2
 
     def __hash__(self):
-        return hash((self.n, self.up1, self.up2))
+        return self._hash
 
     def __repr__(self):
         return format_poset(self)
@@ -182,15 +202,13 @@ class DoublePoset:
 class SpecialPoset(DoublePoset):
     """Double poset whose second order is the natural total order on 1..n."""
 
+    __slots__ = ()
+
     def __init__(self, n, pairs1=()):
         n = int(n)
         if n < 0:
             raise ValueError("bad label")
-        self.n = n
-        self.up1 = _close(n, pairs1)
-        self.up2 = _natural_up(n)
-        self.down1 = _downs(n, self.up1)
-        self.down2 = _downs(n, self.up2)
+        self._set(n, _close(n, pairs1), _natural_up(n))
 
 
 def empty_poset():
@@ -253,20 +271,22 @@ def format_poset(P):
     return f"DP({P.n}; o1:{_format_pairs(P.covers(1))}; o2:{_format_pairs(P.covers(2))})"
 
 
-codec_parse = parse_poset
-codec_format = format_poset
-
-
 # -- membership predicates ---------------------------------------------------
 
 
 def is_special(P):
-    """True iff the second order is the natural total order on labels."""
-    return P.up2 == _natural_up(P.n)
+    """True iff the second order is the natural total order on labels.
+
+    Keys that are not double posets, such as permutations, belong to no
+    family of this module.
+    """
+    return isinstance(P, DoublePoset) and P.up2 == _natural_up(P.n)
 
 
 def is_plane(P):
     """True iff every two distinct labels are comparable in exactly one order."""
+    if not isinstance(P, DoublePoset):
+        return False
     for v in range(P.n):
         for w in range(v + 1, P.n):
             c1 = ((P.up1[v] >> w) | (P.up1[w] >> v)) & 1
@@ -320,22 +340,6 @@ def is_special_plane(P):
         for w in _bits(r[v]):
             if r[w] & ~r[v]:
                 return False
-    return True
-
-
-def is_special_plane_by_pattern(P):
-    """Forbidden-configuration route: heap-ordered with no labels i<j<k where
-    i is below k in the first order while both (i,j) and (j,k) are
-    incomparable."""
-    if not is_heap_ordered(P):
-        return False
-    n = P.n
-    comp = [P.up1[v] | P.down1[v] for v in range(n)]
-    for i in range(n):
-        for k in _bits(P.up1[i]):
-            for j in range(i + 1, k):
-                if not ((comp[i] >> j) & 1) and not ((comp[j] >> k) & 1):
-                    return False
     return True
 
 
@@ -474,15 +478,6 @@ def _induced_relabel(P):
     return _relabel(P, induced_order_ranks(P))
 
 
-def induced_special(P):
-    """The special poset carried by a plane poset: first order plus the
-    induced total order as labels."""
-    if not is_plane(P):
-        raise ValueError("induced order not total")
-    Q = _induced_relabel(P)
-    return DoublePoset._from_masks(Q.n, Q.up1, _natural_up(Q.n))
-
-
 def plane_version(P):
     """The plane incarnation of a special plane poset.
 
@@ -595,7 +590,11 @@ class Family(str, Enum):
 
 def max_degree():
     """Enumeration degree bound, configurable via DPOSET_MAX_DEGREE."""
-    return int(os.environ.get("DPOSET_MAX_DEGREE", "6"))
+    value = os.environ.get("DPOSET_MAX_DEGREE", "6")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"DPOSET_MAX_DEGREE must be an integer, not {value!r}") from None
 
 
 def classify(P):
@@ -609,10 +608,7 @@ def classify(P):
             tags.add(Family.OF)
         if is_heap_forest(P):
             tags.add(Family.HOF)
-        spp = is_special_plane(P)
-        if spp != is_special_plane_by_pattern(P):
-            raise AssertionError("plane membership routes disagree")
-        if spp:
+        if is_special_plane(P):
             tags.add(Family.SPP)
             if is_special_wn(P):
                 tags.add(Family.SWNP)
@@ -673,21 +669,13 @@ def _sp_masks(n):
     return tuple(out)
 
 
-def _mask_downs(n, up):
-    down = [0] * n
-    for v in range(n):
-        for w in _bits(up[v]):
-            down[w] |= 1 << v
-    return down
-
-
 def _mask_is_heap(n, up):
     nat = _natural_up(n)
     return all((up[v] & ~nat[v]) == 0 for v in range(n))
 
 
 def _mask_is_forest(n, up):
-    down = _mask_downs(n, up)
+    down = _downs(n, up)
     for v in range(n):
         found = 0
         for u in _bits(down[v]):
@@ -702,7 +690,7 @@ def _mask_is_spp(n, up):
     if not _mask_is_heap(n, up):
         return False
     nat = _natural_up(n)
-    down = _mask_downs(n, up)
+    down = _downs(n, up)
     r = [nat[v] & ~(up[v] | down[v]) for v in range(n)]
     for v in range(n):
         for w in _bits(r[v]):

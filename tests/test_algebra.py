@@ -1,5 +1,6 @@
 """Scalars, linear combinations, product, coproduct, pairing, antipode."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from dposet.algebra import (
     format_scalar,
     gram_matrix,
     lc_product,
+    normalize_scalar,
     pairing,
     parse_lincomb,
     parse_scalar,
@@ -25,7 +27,14 @@ from dposet.algebra import (
     require_augmented,
     tensor_of,
 )
-from dposet.poset_core import SpecialPoset, empty_poset, enumerate_family, parse_poset
+from dposet.fqsym import Permutation
+from dposet.poset_core import (
+    DoublePoset,
+    SpecialPoset,
+    empty_poset,
+    enumerate_family,
+    parse_poset,
+)
 
 
 def sp(n, *pairs):
@@ -275,3 +284,109 @@ def test_lincomb_literal_round_trip(P):
     x = LinComb.basis(P) - 3 * LinComb.basis(sp(1))
     assert parse_lincomb(format_lincomb(x)) == x
     assert as_lincomb(P) == LinComb.basis(P)
+
+
+# -- the combination core against a definitional reference ------------------------------
+
+
+def _fresh_key(key):
+    """The canonical order recomputed from scratch, as the lists it compares."""
+    if isinstance(key, Tensor):
+        return tuple(_fresh_key(f) for f in key.factors)
+    if isinstance(key, Permutation):
+        return (len(key.word), key.word)
+    return (key.n, key.pairs(1), key.pairs(2))
+
+
+def _key_pools():
+    posets = [
+        *(P for n in range(4) for P in enumerate_family("sp", n)),
+        *(P for n in range(1, 4) for P in enumerate_family("spp", n)),
+        *(P for n in range(1, 4) for P in enumerate_family("pp", n)),
+    ]
+    perms = [Permutation(w) for n in range(4) for w in itertools.permutations(range(1, n + 1))]
+    small = enumerate_family("sp", 2)
+    return {
+        "posets": posets,
+        "permutations": perms,
+        "tensors2": [Tensor(a, b) for a in small for b in posets[:12]],
+        "tensors3": [Tensor(a, p, b) for a in small for p in perms[:6] for b in small],
+    }
+
+
+_POOLS = _key_pools()
+
+_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.builds(GaussRat, st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def _raw_terms(draw, kind=None):
+    pool = _POOLS[kind or draw(st.sampled_from(sorted(_POOLS)))]
+    keys = st.sampled_from(pool)
+    return draw(st.lists(st.tuples(keys, _coefficients), max_size=12))
+
+
+def test_double_poset_sort_key_orders_like_the_pair_lists():
+    posets = [P for n in range(4) for P in enumerate_family("dp", n)]
+    assert sorted(posets, key=DoublePoset.sort_key) == sorted(posets, key=_fresh_key)
+    # Past 255 labels the pairs no longer fit in bytes.
+    wide = [
+        DoublePoset(n, pairs, [(1, 2)])
+        for n in (255, 256, 300)
+        for pairs in ([], [(1, 2)], [(1, 3)], [(2, 300)][: n // 300])
+    ]
+    assert sorted(wide, key=DoublePoset.sort_key) == sorted(wide, key=_fresh_key)
+
+
+@given(_raw_terms(), st.randoms(use_true_random=False))
+def test_lincomb_core_matches_reference(raw, rng):
+    reference = {}
+    for key, coeff in raw:
+        reference[key] = reference.get(key, 0) + coeff
+    expected = sorted(
+        ((k, normalize_scalar(c)) for k, c in reference.items() if c),
+        key=lambda kv: _fresh_key(kv[0]),
+    )
+    x = LinComb(raw)
+    assert x.terms() == expected
+    assert x.support() == [k for k, _ in expected]
+
+    shuffled = rng.sample(raw, len(raw))
+    singles = [LinComb.basis(k, c) for k, c in shuffled]
+    chained = LinComb.zero()
+    for single in singles:
+        chained += single
+    builds = (LinComb(shuffled), LinComb.sum(singles), LinComb.sum(reversed(shuffled)), chained)
+    for y in builds:
+        assert y == x
+        assert hash(y) == hash(x)
+        assert format_lincomb(y) == format_lincomb(x)
+        assert y.terms() == expected
+
+
+@given(
+    st.sampled_from(sorted(_POOLS)).flatmap(
+        lambda a: st.tuples(
+            st.just(a), st.sampled_from([b for b in sorted(_POOLS) if b != a])
+        )
+    ),
+    st.data(),
+)
+def test_mixed_kinds_are_rejected_on_every_path(kinds, data):
+    a, b = (
+        data.draw(_raw_terms(kind).filter(lambda t: LinComb(t)), label=kind) for kind in kinds
+    )
+    x, y = LinComb(a), LinComb(b)
+    for build in (
+        lambda: x + y,
+        lambda: x - y,
+        lambda: LinComb.sum([x, y]),
+        lambda: LinComb.sum([*x.items(), *y.items()]),
+        lambda: LinComb(a + b),
+    ):
+        with pytest.raises(ValueError, match="mixed basis kinds"):
+            build()

@@ -86,6 +86,31 @@ def test_degree_cap_from_environment(cli, monkeypatch):
     assert "degree too large" in err
 
 
+def test_degree_cap_must_be_an_integer(cli, monkeypatch):
+    monkeypatch.setenv("DPOSET_MAX_DEGREE", "abc")
+    code, out, err = cli("enumerate", "--family", "sp", "--degree", "3")
+    assert code == 1
+    assert err == "error: DPOSET_MAX_DEGREE must be an integer, not 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("theta", "1"), "not a special poset"),
+        (("op", "delta-prec", "12"), "not a special poset"),
+        (("op", "delta-succ", "12"), "not a special poset"),
+        (("op", "delta-prec", "12", "--anchor", "least"), "not a special plane poset"),
+        (("op", "prec", "1", "SP(1;)"), "not a special plane forest"),
+        (("op", "nwarrow", "12", "SP(1;)"), "nwarrow needs special posets"),
+    ],
+)
+def test_permutation_operands_are_domain_errors(cli, argv, message):
+    code, out, err = cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verification_failure_exits_two(cli):
     code, out, err = cli("isometry", "verify", "--variant", "printed")
     assert code == 2

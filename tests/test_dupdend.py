@@ -190,3 +190,13 @@ def test_check_axioms_rejects_unknown_suite():
 def test_report_shape():
     report = check_axioms("duplicial", max_degree=2)
     assert set(report) == {"suite", "degree", "tuples_checked", "violations"}
+
+
+@pytest.mark.parametrize(
+    "suite, tuples",
+    [("duplicial", 282), ("codendriform", 186), ("dendriform-hopf", 134)],
+)
+def test_suites_pass_at_degree_five(suite, tuples):
+    report = check_axioms(suite, max_degree=5)
+    assert report["tuples_checked"] == tuples
+    assert report["violations"] == []

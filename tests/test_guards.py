@@ -1,0 +1,78 @@
+"""Source guards: patterns that the package has removed and must not regrow."""
+
+import ast
+from pathlib import Path
+
+import dposet
+
+SOURCES = sorted(Path(dposet.__file__).parent.glob("*.py"))
+
+# Rewriting replaces one term of its state per step; the state is not a sum
+# being accumulated.
+REBINDING_ALLOWED = {("morphisms.py", "upsilon_by_rewriting")}
+
+
+def _leftmost(expr):
+    while isinstance(expr, ast.BinOp) and isinstance(expr.op, (ast.Add, ast.Sub)):
+        expr = expr.left
+    return expr
+
+
+class _LoopRebinding(ast.NodeVisitor):
+    """Find ``x = x + ...`` and ``x = x - ...`` inside loops, by function."""
+
+    def __init__(self):
+        self.function = None
+        self.loops = 0
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        outer = (self.function, self.loops)
+        self.function, self.loops = node.name, 0
+        self.generic_visit(node)
+        self.function, self.loops = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_For(self, node):
+        self.loops += 1
+        self.generic_visit(node)
+        self.loops -= 1
+
+    visit_AsyncFor = visit_While = visit_For
+
+    def visit_Assign(self, node):
+        value = node.value
+        if (
+            self.loops
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(value, ast.BinOp)
+            and isinstance(value.op, (ast.Add, ast.Sub))
+        ):
+            left = _leftmost(value)
+            if isinstance(left, ast.Name) and left.id == node.targets[0].id:
+                self.found.append((self.function, node.lineno, ast.unparse(node)))
+        self.generic_visit(node)
+
+
+def _rebindings(source):
+    finder = _LoopRebinding()
+    finder.visit(ast.parse(source))
+    return finder.found
+
+
+def test_guard_finds_the_pattern():
+    source = "def f(xs):\n    out = 0\n    for x in xs:\n        out = out - x * 2 + 1\n"
+    assert [name for name, _, _ in _rebindings(source)] == ["f"]
+    assert _rebindings("def f(xs):\n    out = 0\n    out = out + 1\n") == []
+
+
+def test_no_sum_is_rebuilt_inside_a_loop():
+    found = [
+        f"{path.name}:{line} in {function}: {text}"
+        for path in SOURCES
+        for function, line, text in _rebindings(path.read_text())
+        if (path.name, function) not in REBINDING_ALLOWED
+    ]
+    assert found == [], "accumulate into a list or LinComb.sum instead:\n" + "\n".join(found)

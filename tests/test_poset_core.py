@@ -227,3 +227,26 @@ def test_plane_and_special_versions_are_inverse(P):
     assert is_plane(Q)
     tags = classify(Q)
     assert Family.PP in tags
+
+
+def _special_plane_by_pattern(P):
+    """Forbidden-configuration route: heap-ordered with no labels i<j<k where
+    i is below k in the first order while both (i,j) and (j,k) are
+    incomparable."""
+    if not is_heap_ordered(P):
+        return False
+    comp = [P.up1[v] | P.down1[v] for v in range(P.n)]
+    for i in range(P.n):
+        for k in range(i + 1, P.n):
+            if (P.up1[i] >> k) & 1 and any(
+                not ((comp[i] >> j) & 1) and not ((comp[j] >> k) & 1)
+                for j in range(i + 1, k)
+            ):
+                return False
+    return True
+
+
+def test_special_plane_routes_agree_through_degree_five():
+    for n in range(6):
+        for P in enumerate_family("sp", n):
+            assert is_special_plane(P) == _special_plane_by_pattern(P), P
