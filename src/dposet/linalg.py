@@ -5,15 +5,19 @@ entries; every computation here is exact.  The module provides three layers:
 
 * generic kernels, determinants, inverses, and products over the scalar
   field (:func:`rank_kernel`, :func:`det`, :func:`mat_inverse`, ...);
+  :func:`mat_mul` scales every row and column to integers over a common
+  denominator and multiplies with integer dot products;
 * integer congruence: a symmetric unimodular matrix is block-diagonalized by
   a certified unimodular change of basis into blocks ``(1)``, ``(-1)``, and
   the hyperbolic plane ``[[0, 1], [1, 0]]`` (:func:`congruence_diagonalize`);
 * graded isometries between the plane and special-plane Hopf algebras: over
   the Gaussian rationals every certified block becomes the identity, so any
   two same-size symmetric unimodular matrices are isometric
-  (:func:`build_isometry`), and degree-wise linear maps can be checked for
-  multiplicativity, coproduct compatibility, and pairing preservation
-  (:class:`GradedMapSpec`, :func:`verify_graded_isometry`).
+  (:func:`build_isometry`, which inverts nothing: ``V.T @ A @ V == I`` gives
+  ``V^-1 == V.T @ A``, and it checks ``S.T @ A @ S == B`` itself), and
+  degree-wise linear maps can be checked for multiplicativity, coproduct
+  compatibility, and pairing preservation (:class:`GradedMapSpec`,
+  :func:`verify_graded_isometry`).
 
 :func:`plane_to_special_isometry` records the known degree-by-degree
 isometric Hopf morphism from plane posets to special plane posets up to
@@ -28,7 +32,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .algebra import (
     GaussRat,
@@ -88,15 +93,56 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
+def _integer_vectors(vectors):
+    """Each vector of scalars as ``(d, re, im)`` over one common denominator.
+
+    ``re`` and ``im`` are integer lists with ``vector[k] == (re[k] +
+    im[k]*I) / d``; ``im`` is None when the vector is real.
+    """
+    out = []
+    for v in vectors:
+        re, im = [], []
+        for x in v:
+            if isinstance(x, GaussRat):
+                re.append(x.re)
+                im.append(x.im)
+            elif isinstance(x, (int, Fraction)):
+                re.append(x)
+                im.append(0)
+            else:
+                raise TypeError(f"unsupported scalar: {x!r}")
+        d = lcm(*(x.denominator for x in re), *(x.denominator for x in im))
+        re = [x.numerator * (d // x.denominator) for x in re]
+        im = [x.numerator * (d // x.denominator) for x in im] if any(im) else None
+        out.append((d, re, im))
+    return out
+
+
 def mat_mul(A, B):
-    """Exact matrix product; scalar types mix freely."""
-    if A and B and len(A[0]) != len(B):
+    """Exact matrix product; scalar types mix freely.
+
+    Every row of ``A`` and column of ``B`` is scaled to integers first, so
+    each cell is a few integer dot products and one normalized scalar.
+    """
+    if A and len(A[0]) != len(B):
         raise ValueError("matrix size mismatch")
-    Bt = mat_transpose(B)
-    return [
-        [normalize_scalar(sum(a * b for a, b in zip(row, col))) for col in Bt]
-        for row in A
-    ]
+    cols = _integer_vectors(zip(*B))
+    out = []
+    for da, ar, ai in _integer_vectors(A):
+        row = []
+        for db, br, bi in cols:
+            re = sum(map(mul, ar, br))
+            im = 0
+            if ai is not None:
+                im = sum(map(mul, ai, br))
+                if bi is not None:
+                    re -= sum(map(mul, ai, bi))
+            if bi is not None:
+                im += sum(map(mul, ar, bi))
+            d = da * db
+            row.append(GaussRat(Fraction(re, d), Fraction(im, d)) if im else Fraction(re, d))
+        out.append(row)
+    return out
 
 
 def mat_inverse(A):
@@ -344,7 +390,11 @@ def _short_unit_vector(M, k, fuel):
     return None, fuel
 
 
-def congruence_diagonalize(A, fuel=100_000):
+# bound on the congruence search's steps and candidate vectors
+CONGRUENCE_FUEL = 100_000
+
+
+def congruence_diagonalize(A):
     """Certified block diagonalization of a symmetric unimodular matrix.
 
     Returns a :class:`CongruenceCertificate` with blocks drawn from ``(1)``,
@@ -359,6 +409,7 @@ def congruence_diagonalize(A, fuel=100_000):
         raise ValueError("matrix not unimodular")
     M = [row[:] for row in A0]
     T = identity_matrix(n)
+    fuel = CONGRUENCE_FUEL
 
     def radd(i, j, t):
         # symmetric row-and-column operation R_i += t R_j
@@ -510,8 +561,7 @@ def congruence_diagonalize(A, fuel=100_000):
             raise ValueError("no unimodular block diagonalization found")
         apply_block(k, _complete_unimodular(v))
     B = _block_matrix_of(blocks)
-    check = mat_mul(mat_mul(T, A0), mat_transpose(T))
-    if [[int(x) for x in row] for row in check] != B or M != B:
+    if mat_mul(mat_mul(T, A0), mat_transpose(T)) != B or M != B:
         raise AssertionError("congruence bookkeeping failed")
     return CongruenceCertificate(
         matrix=tuple(tuple(row) for row in A0),
@@ -552,23 +602,24 @@ def _block_unit_transform(blocks):
 def build_isometry(A, B):
     """A matrix S over the Gaussian rationals with S.T @ A @ S == B.
 
-    Both arguments must be symmetric unimodular of the same size; each is
-    taken to the identity through its congruence certificate, and the two
-    routes are chained.
+    Both arguments must be symmetric unimodular of the same size.  With the
+    certificate ``T @ A @ T.T == D`` and the block transform ``W.T @ D @ W ==
+    I``, ``V = T.T @ W`` satisfies ``V.T @ A @ V == I``.  Hence
+    ``V_b^-1 == V_b.T @ B`` and ``S = V_a @ V_b.T @ B`` needs no generic
+    inverse; it is the unique ``V_a @ V_b^-1``.  ``S.T @ A @ S == B`` is
+    checked before S is returned, and a failure raises AssertionError.
     """
     if len(A) != len(B):
         raise ValueError("matrix size mismatch")
     ca = congruence_diagonalize(A)
     cb = congruence_diagonalize(B)
-    va = mat_mul(
-        mat_transpose([list(r) for r in ca.transform]),
-        _block_unit_transform(ca.blocks),
-    )
-    vb = mat_mul(
-        mat_transpose([list(r) for r in cb.transform]),
-        _block_unit_transform(cb.blocks),
-    )
-    return mat_mul(va, mat_inverse(vb))
+    B0 = [list(r) for r in cb.matrix]
+    va = mat_mul(mat_transpose(ca.transform), _block_unit_transform(ca.blocks))
+    vb = mat_mul(mat_transpose(cb.transform), _block_unit_transform(cb.blocks))
+    S = mat_mul(va, mat_mul(mat_transpose(vb), B0))
+    if mat_mul(mat_mul(mat_transpose(S), ca.matrix), S) != B0:
+        raise AssertionError("isometry certificate failed")
+    return S
 
 
 @lru_cache(maxsize=None)

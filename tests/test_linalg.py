@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dposet.algebra import GaussRat, gram_matrix, parse_lincomb
+from dposet import linalg
+from dposet.algebra import GaussRat, gram_matrix, normalize_scalar, parse_lincomb
 from dposet.linalg import (
     ISOMETRY_VARIANTS,
     GradedMapSpec,
@@ -66,6 +67,51 @@ def test_mat_helpers_normalize_entries():
     A = mat_mul([[GaussRat(0, 1)]], [[GaussRat(0, -1)]])
     assert A == [[1]]
     assert mat_transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
+
+
+def test_mat_mul_checks_inner_dimensions():
+    with pytest.raises(ValueError, match="matrix size mismatch"):
+        mat_mul([[1, 2]], [])
+    with pytest.raises(ValueError, match="matrix size mismatch"):
+        mat_mul([[1, 2]], [[1]])
+    assert mat_mul([], []) == []
+    assert mat_mul([[], []], []) == [[], []]
+
+
+def reference_mat_mul(A, B):
+    """The per-cell product: one normalized sum of scalar products per cell."""
+    return [[normalize_scalar(sum(a * b for a, b in zip(row, col))) for col in zip(*B)] for row in A]
+
+
+_RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+_SCALAR_KINDS = (
+    st.integers(-40, 40),
+    _RATIONALS,
+    st.builds(GaussRat, _RATIONALS),
+    st.one_of(
+        st.integers(-40, 40),
+        _RATIONALS,
+        st.builds(GaussRat, _RATIONALS),
+        st.builds(GaussRat, _RATIONALS, _RATIONALS),
+    ),
+)
+
+
+@st.composite
+def matrix_pairs(draw):
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    a_scalars = draw(st.sampled_from(_SCALAR_KINDS))
+    b_scalars = draw(st.sampled_from(_SCALAR_KINDS))
+    A = [[draw(a_scalars) for _ in range(k)] for _ in range(m)]
+    B = [[draw(b_scalars) for _ in range(n)] for _ in range(k)]
+    return A, B
+
+
+@given(matrix_pairs())
+def test_mat_mul_matches_the_per_cell_product(pair):
+    A, B = pair
+    # repr tells Fraction from a real GaussRat, so types must agree too
+    assert repr(mat_mul(A, B)) == repr(reference_mat_mul(A, B))
 
 
 # -- congruence certificates -----------------------------------------------------------
@@ -132,6 +178,40 @@ def test_build_isometry_identity_case():
     I2 = identity_matrix(2)
     S = build_isometry(I2, I2)
     assert mat_mul(mat_mul(mat_transpose(S), I2), S) == I2
+
+
+def inverse_route_isometry(A, B):
+    """``V_a @ V_b^-1`` with a generic Gaussian-rational inverse."""
+    va, vb = (
+        mat_mul(mat_transpose(c.transform), linalg._block_unit_transform(c.blocks))
+        for c in (congruence_diagonalize(A), congruence_diagonalize(B))
+    )
+    return mat_mul(va, mat_inverse(vb))
+
+
+def test_build_isometry_matches_the_inverse_route():
+    rng = random.Random(20240814)
+    for case in range(40):
+        size = rng.randint(1, 8)
+        A = random_unimodular_symmetric(rng, size)
+        B = random_unimodular_symmetric(rng, size)
+        assert repr(build_isometry(A, B)) == repr(inverse_route_isometry(A, B))
+
+
+def test_build_isometry_checks_its_certificate(monkeypatch):
+    unit = linalg._block_unit_transform
+    monkeypatch.setattr(
+        linalg, "_block_unit_transform", lambda blocks: [[2 * x for x in row] for row in unit(blocks)]
+    )
+    with pytest.raises(AssertionError, match="isometry certificate failed"):
+        build_isometry([[0, 1], [1, 0]], [[1, 0], [0, -1]])
+
+
+def test_degree_five_plane_certificates():
+    check_certificate(congruence_diagonalize(gram_matrix("pp", 5)))
+    A, B = gram_matrix("pf", 5), gram_matrix("spf", 5)
+    S = build_isometry(A, B)
+    assert mat_mul(mat_mul(mat_transpose(S), A), S) == B
 
 
 # -- the graded plane-to-special map -----------------------------------------------------
