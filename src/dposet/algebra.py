@@ -37,7 +37,10 @@ from .poset_core import (
     SpecialPoset,
     compose,
     enumerate_family,
+    extension_words,
     ideals,
+    inverse_word,
+    is_special,
     parse_poset,
     restrict,
 )
@@ -567,14 +570,40 @@ def _picture_count(P, Q):
     return count
 
 
+def _picture_pairing(P, Q):
+    """Picture count of two same-size double posets, cached up to order."""
+    return _picture_count(*sorted((P, Q), key=DoublePoset.sort_key))
+
+
+@lru_cache(maxsize=8192)
+def _extension_sets(P):
+    """The linear extensions of a special poset and their inverses, as two
+    frozensets of words.
+
+    An entry takes at most 19 KB at degree 5 and 161 KB at degree 6 (the
+    antichain's ``2 * n!`` words).  All 4,231 special posets of degree 5 fit
+    in the bound and take 14 MB together.
+    """
+    words = extension_words(P)
+    return frozenset(words), frozenset(map(inverse_word, words))
+
+
 def pairing_basis(P, Q):
     """Number of bijections sending the first order of P into the second
     order of Q whose inverse sends the first order of Q into the second order
-    of P (zero when sizes differ)."""
+    of P (zero when sizes differ).
+
+    Two routes give this count.  When both posets are special it is the
+    number of linear extensions of P whose inverse is a linear extension of
+    Q, since theta is an isometry onto the permutations, where a permutation
+    pairs to 1 with its inverse only.  Otherwise the bijections (pictures)
+    are counted directly.
+    """
     if P.n != Q.n:
         return 0
-    A, B = sorted((P, Q), key=DoublePoset.sort_key)
-    return _picture_count(A, B)
+    if is_special(P) and is_special(Q):
+        return len(_extension_sets(P)[0] & _extension_sets(Q)[1])
+    return _picture_pairing(P, Q)
 
 
 def _key_pairing(a, b):
@@ -609,14 +638,35 @@ def pairing(x, y):
     return normalize_scalar(total)
 
 
+def _gram_by_extensions(basis):
+    """Gram matrix of special posets: entry ``(i, j)`` counts the extension
+    words of the ``i``-th poset whose inverse is an extension word of the
+    ``j``-th, found by bucketing every poset under each of its words."""
+    words = [extension_words(P) for P in basis]
+    holders = {}
+    for j, ws in enumerate(words):
+        for word in ws:
+            holders.setdefault(word, []).append(j)
+    rows = []
+    for ws in words:
+        row = [0] * len(basis)
+        for word in ws:
+            for j in holders.get(inverse_word(word), ()):
+                row[j] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=None)
 def _gram_cached(family, n):
     basis = enumerate_family(family, n)
+    if all(is_special(P) for P in basis):
+        return _gram_by_extensions(basis)
     size = len(basis)
     rows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            v = pairing_basis(basis[i], basis[j])
+            v = _picture_pairing(basis[i], basis[j])
             rows[i][j] = v
             rows[j][i] = v
     return tuple(tuple(row) for row in rows)

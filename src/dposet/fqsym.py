@@ -14,6 +14,7 @@ import re
 from functools import lru_cache
 
 from .algebra import LinComb, Tensor, as_lincomb
+from .poset_core import inverse_word
 
 __all__ = [
     "Permutation",
@@ -35,7 +36,9 @@ __all__ = [
 class Permutation:
     """Permutation of {1..n} in one-line notation.
 
-    The hash is stored at construction and the sort key on first use.
+    The constructor checks its word; the words this package builds itself
+    are valid by construction and go through :meth:`_trusted` instead.  The
+    hash is stored at construction and the sort key on first use.
     """
 
     __slots__ = ("word", "_hash", "_key")
@@ -44,9 +47,19 @@ class Permutation:
         w = tuple(int(a) for a in word)
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError("not a permutation")
-        self.word = w
-        self._hash = hash(("perm", w))
+        self._set(w)
+
+    def _set(self, word):
+        self.word = word
+        self._hash = hash(("perm", word))
         self._key = None
+
+    @classmethod
+    def _trusted(cls, word):
+        """A permutation of a tuple of ints already known to list 1..n."""
+        self = object.__new__(cls)
+        self._set(word)
+        return self
 
     @property
     def n(self):
@@ -56,14 +69,13 @@ class Permutation:
         return self.word[i - 1]
 
     def inverse(self):
-        inv = [0] * len(self.word)
-        for pos, value in enumerate(self.word):
-            inv[value - 1] = pos + 1
-        return Permutation(inv)
+        return Permutation._trusted(inverse_word(self.word))
 
     def compose(self, other):
         """self after other: ``(self.compose(other))(i) == self(other(i))``."""
-        return Permutation(self.word[v - 1] for v in other.word)
+        if self.n != other.n:
+            raise ValueError("not a permutation")
+        return Permutation._trusted(tuple(self.word[v - 1] for v in other.word))
 
     def sort_key(self):
         key = self._key
@@ -116,7 +128,7 @@ def standardize(letters):
     if len(set(values)) != len(values):
         raise ValueError("repeated letters")
     rank = {v: i + 1 for i, v in enumerate(sorted(values))}
-    return Permutation(rank[v] for v in values)
+    return Permutation._trusted(tuple(rank[v] for v in values))
 
 
 def _shuffle_words(a, b):
@@ -137,7 +149,8 @@ def shuffle_product(p, q):
     """Shifted shuffle: all interleavings of p with q raised above it."""
     shifted = tuple(v + p.n for v in q.word)
     return LinComb(
-        (Permutation(word), 1) for _, word in _shuffle_words(p.word, shifted)
+        (Permutation._trusted(tuple(word)), 1)
+        for _, word in _shuffle_words(p.word, shifted)
     )
 
 
@@ -189,7 +202,7 @@ def weak_interval_down(q):
     return [
         p
         for word in itertools.permutations(range(1, q.n + 1))
-        if inversions(p := Permutation(word)) <= target
+        if inversions(p := Permutation._trusted(word)) <= target
     ]
 
 
@@ -203,7 +216,7 @@ def _nwarrow_words(p, q):
     for positions, word in _shuffle_words(p.word, shifted):
         # No letter of q before the maximal letter of p.
         if positions[top] == top:
-            yield Permutation(word)
+            yield Permutation._trusted(tuple(word))
 
 
 def fq_nwarrow(x, y):

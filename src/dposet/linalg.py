@@ -6,7 +6,9 @@ entries; every computation here is exact.  The module provides three layers:
 * generic kernels, determinants, inverses, and products over the scalar
   field (:func:`rank_kernel`, :func:`det`, :func:`mat_inverse`, ...);
   :func:`mat_mul` scales every row and column to integers over a common
-  denominator and multiplies with integer dot products;
+  denominator and multiplies with integer dot products, and
+  :func:`rank_kernel` scales every row the same way and eliminates
+  fraction-free (Bareiss), dividing only once at the end;
 * integer congruence: a symmetric unimodular matrix is block-diagonalized by
   a certified unimodular change of basis into blocks ``(1)``, ``(-1)``, and
   the hyperbolic plane ``[[0, 1], [1, 0]]`` (:func:`congruence_diagonalize`);
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import floordiv, mul, truediv
 
 from .algebra import (
     GaussRat,
@@ -168,32 +170,58 @@ def rank_kernel(A):
     """Exact rank and kernel basis of a matrix.
 
     Returns ``(rank, kernel)`` where each kernel vector carries a leading 1
-    in its free coordinate; vectors are listed by increasing free column.
+    in its free coordinate; vectors are listed by increasing free column, and
+    read off the reduced row echelon form.
+
+    Each row is scaled to integral (or Gaussian-integral) entries and
+    eliminated fraction-free, Gauss-Jordan style: the update ``(p*x - f*y) /
+    prev`` by the previous pivot is an exact ring division (Bareiss), and it
+    leaves every pivot entry equal to the last pivot ``d``.  The reduced row
+    echelon form is the result divided by ``d``, done once per kernel entry.
     """
-    rows = _matrix(A)
-    if not rows or not rows[0]:
-        width = len(rows[0]) if rows else 0
-        return 0, [
-            [normalize_scalar(int(i == j)) for j in range(width)] for i in range(width)
+    width = len(A[0]) if A else 0
+    if any(len(row) != width for row in A):
+        raise ValueError("ragged matrix")
+    if not width:
+        return 0, []
+    vectors = _integer_vectors(A)
+    real = all(im is None for _, _, im in vectors)
+    if real:
+        M = [re for _, re, _ in vectors]
+    else:
+        M = [
+            [GaussRat(a, b) for a, b in zip(re, im or [0] * len(re))]
+            for _, re, im in vectors
         ]
-    m, n = len(rows), len(rows[0])
+    divide = floordiv if real else truediv
+    m, n = len(M), len(M[0])
     pivots = []
-    r = 0
+    prev = 1
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
-        p = next((i for i in range(r, m) if rows[i][c]), None)
+        p = next((i for i in range(r, m) if M[i][c]), None)
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        M[r], M[p] = M[p], M[r]
+        top = M[r]
+        piv = top[c]
+        for i, row in enumerate(M):
+            f = row[c]
+            # a row with no entry in column c only rescales by piv / prev
+            if i == r or not (f or piv != prev):
+                continue
+            # rows below the pivot row, and the pivot row, are zero left of c
+            start = 0 if i < r else c
+            if f:
+                new = [divide(piv * x - f * y, prev) for x, y in zip(row[start:], top[start:])]
+            else:
+                new = [divide(piv * x, prev) for x in row[start:]]
+            M[i] = row[:start] + new
         pivots.append(c)
-        r += 1
+        prev = piv
+    d = Fraction(prev) if real else prev
     pivot_set = set(pivots)
     kernel = []
     zero, one = normalize_scalar(0), normalize_scalar(1)
@@ -203,7 +231,7 @@ def rank_kernel(A):
         v = [zero] * n
         v[free] = one
         for idx, pc in enumerate(pivots):
-            v[pc] = normalize_scalar(-rows[idx][free])
+            v[pc] = normalize_scalar(-M[idx][free] / d)
         kernel.append(v)
     return len(pivots), kernel
 

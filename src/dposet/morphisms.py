@@ -17,14 +17,15 @@
 
 from functools import lru_cache
 
-from .algebra import LinComb, as_lincomb, gram_matrix, normalize_scalar
+from .algebra import LinComb, as_lincomb, gram_matrix
 from .fqsym import Permutation, inversions, weak_interval_down
-from .linalg import mat_inverse, rank_kernel
+from .linalg import rank_kernel
 from .poset_core import (
     DoublePoset,
     SpecialPoset,
     empty_poset,
     enumerate_family,
+    extension_words,
     is_heap_forest,
     is_plane,
     is_special,
@@ -53,28 +54,13 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _extensions(P):
-    n = P.n
-    down1 = P.down1
-    words = []
-    word = []
+    """The linear extensions of ``P`` as permutations, in lexicographic order.
 
-    def extend(alive):
-        if not alive:
-            words.append(Permutation(word))
-            return
-        v = alive
-        while v:
-            low = v & -v
-            v &= v - 1
-            idx = low.bit_length() - 1
-            if down1[idx] & alive:
-                continue
-            word.append(idx + 1)
-            extend(alive & ~low)
-            word.pop()
-
-    extend((1 << n) - 1)
-    return tuple(words)
+    Cached per poset, without bound: an entry takes at most 13 KB at degree
+    5 and 141 KB at degree 6 (the antichain's ``n!`` permutations); all
+    4,231 special posets of degree 5 take 7.9 MB together.
+    """
+    return tuple(Permutation._trusted(word) for word in extension_words(P))
 
 
 def linear_extensions(P):
@@ -148,46 +134,50 @@ def psi(P):
 
 @lru_cache(maxsize=None)
 def _hof_theta_inverse(n):
-    basis = enumerate_family("hof", n)
-    perms = sorted(
-        {sigma for F in basis for sigma in _extensions(F)}, key=lambda p: p.sort_key()
-    )
-    if len(perms) != len(basis):
-        raise ValueError("theta is not invertible at this degree")
-    index = {p: i for i, p in enumerate(perms)}
-    matrix = [[0] * len(basis) for _ in perms]
-    for j, F in enumerate(basis):
-        for sigma in _extensions(F):
-            matrix[index[sigma]][j] = 1
-    return tuple(basis), index, mat_inverse(matrix)
+    """The heap-ordered forests of degree ``n`` keyed by their largest linear
+    extension, as ``(key, (forest, its other extensions))`` pairs in
+    decreasing key order.
+
+    Every other extension of a forest precedes its key, so in this order
+    theta is unitriangular on these forests.  The keys are distinct at every
+    degree checked (through 6); a collision raises.
+    """
+    table = {}
+    for F in enumerate_family("hof", n):
+        *rest, key = extension_words(F)
+        if key in table:
+            raise ValueError("theta is not invertible at this degree")
+        table[key] = (F, rest)
+    return sorted(table.items(), reverse=True)
 
 
 def theta_hof_inverse(y):
     """Solve ``theta(result) == y`` with the result supported on heap-ordered
-    forests; defined degree by degree by inverting the square matrix of
-    ``theta`` over the heap-ordered forests of that degree."""
+    forests, degree by degree, by back-substitution.
+
+    The largest permutation left in ``y`` is the largest linear extension of
+    exactly one heap-ordered forest, whose coefficient it fixes; subtracting
+    that forest's theta image only touches smaller permutations.
+    """
     out = []
     by_degree = {}
     for sigma, coeff in as_lincomb(y).items():
         if not isinstance(sigma, Permutation):
             raise ValueError("not a permutation basis element")
-        by_degree.setdefault(sigma.n, []).append((sigma, coeff))
-    for n, terms in sorted(by_degree.items()):
+        by_degree.setdefault(sigma.n, {})[sigma.word] = coeff
+    for n, residual in sorted(by_degree.items()):
         if n == 0:
-            out += ((empty_poset(), coeff) for _, coeff in terms)
+            out += ((empty_poset(), coeff) for coeff in residual.values())
             continue
-        basis, index, inverse = _hof_theta_inverse(n)
-        vec = [normalize_scalar(0)] * len(basis)
-        for sigma, coeff in terms:
-            pos = index.get(sigma)
-            if pos is None:
-                raise ValueError("not in the image of theta on heap-ordered forests")
-            vec[pos] = coeff
-        coords = [
-            sum((c * v for c, v in zip(row, vec)), normalize_scalar(0))
-            for row in inverse
-        ]
-        out += zip(basis, coords)
+        for key, (F, rest) in _hof_theta_inverse(n):
+            coeff = residual.pop(key, 0)
+            if not coeff:
+                continue
+            out.append((F, coeff))
+            for word in rest:
+                residual[word] = residual.get(word, 0) - coeff
+        if any(residual.values()):
+            raise ValueError("not in the image of theta on heap-ordered forests")
     return LinComb(out)
 
 

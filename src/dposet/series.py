@@ -85,7 +85,7 @@ class RatSeries:
         for n in range(1, self.order + 1):
             acc = Fraction(0)
             for k in range(1, n + 1):
-                acc += self.coefficients[k] * out[n - k] if k <= self.order else 0
+                acc += self.coefficients[k] * out[n - k]
             out.append(-acc / c0)
         return RatSeries(tuple(out), self.order)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dposet import algebra
 from dposet.algebra import (
     GaussRat,
     LinComb,
@@ -21,6 +22,7 @@ from dposet.algebra import (
     lc_product,
     normalize_scalar,
     pairing,
+    pairing_basis,
     parse_lincomb,
     parse_scalar,
     reduced_coproduct,
@@ -215,6 +217,37 @@ def test_coproduct_is_an_algebra_morphism_in_low_degree():
 
 def test_gram_matrix_of_degree_two_special_posets():
     assert gram_matrix("sp", 2) == [[2, 1, 1], [1, 1, 0], [1, 0, 1]]
+
+
+def picture_pairing(P, Q):
+    """The definitional route: count the pictures of P against Q."""
+    return algebra._picture_pairing(P, Q)
+
+
+def test_extension_route_matches_pictures_on_special_pairs():
+    for n in range(5):
+        basis = enumerate_family("sp", n)
+        for P in basis:
+            for Q in basis:
+                assert pairing_basis(P, Q) == picture_pairing(P, Q), (P, Q)
+
+
+@pytest.mark.parametrize("family", ["spp", "hof"])
+def test_extension_gram_matches_pictures_at_degree_five(family):
+    basis = enumerate_family(family, 5)
+    assert gram_matrix(family, 5) == [[picture_pairing(P, Q) for Q in basis] for P in basis]
+
+
+def test_pairing_routes_are_chosen_by_the_special_test(monkeypatch):
+    # a special pair never reaches the picture count, and a plane pair does
+    calls = []
+    count = algebra._picture_count
+    monkeypatch.setattr(algebra, "_picture_count", lambda P, Q: calls.append(P) or count(P, Q))
+    assert pairing_basis(sp(3, (1, 2)), sp(3, (2, 3))) == 2
+    assert calls == []
+    chain, antichain = parse_poset("PP(2; h: 1<2; r:)"), parse_poset("PP(2; h:; r: 1<2)")
+    assert pairing_basis(chain, antichain) == 1
+    assert len(calls) == 1
 
 
 def test_pairing_examples():

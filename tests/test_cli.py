@@ -86,6 +86,19 @@ def test_degree_cap_from_environment(cli, monkeypatch):
     assert "degree too large" in err
 
 
+@pytest.mark.parametrize("verb", ["gram", "kernel"])
+@pytest.mark.parametrize(
+    "degree, message",
+    [("-1", "error: degree must be nonnegative\n"), ("7", "error: degree too large\n")],
+)
+def test_out_of_range_degree_is_domain_error(cli, monkeypatch, verb, degree, message):
+    monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
+    code, out, err = cli(verb, "--family", "sp", "--degree", degree)
+    assert code == 1
+    assert out == ""
+    assert err == message
+
+
 def test_degree_cap_must_be_an_integer(cli, monkeypatch):
     monkeypatch.setenv("DPOSET_MAX_DEGREE", "abc")
     code, out, err = cli("enumerate", "--family", "sp", "--degree", "3")

@@ -43,6 +43,19 @@ def test_permutation_literals_and_validation():
     assert pm("312").literal() == "312"
 
 
+def test_public_constructor_validates_and_trusted_words_agree():
+    for word in ((1, 1), (0, 1), (2, 3), (1, 2, 4)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(word)
+    for n in range(4):
+        for word in itertools.permutations(range(1, n + 1)):
+            checked, trusted = Permutation(word), Permutation._trusted(word)
+            assert checked == trusted and hash(checked) == hash(trusted)
+            assert checked.sort_key() == trusted.sort_key()
+    with pytest.raises(ValueError, match="not a permutation"):
+        pm("21").compose(pm("123"))
+
+
 def test_inverse_and_compose():
     p = pm("312")
     assert p.inverse() == pm("231")

@@ -114,6 +114,77 @@ def test_mat_mul_matches_the_per_cell_product(pair):
     assert repr(mat_mul(A, B)) == repr(reference_mat_mul(A, B))
 
 
+def reference_rank_kernel(A):
+    """Fraction Gauss-Jordan elimination to the reduced row echelon form."""
+    rows = [[normalize_scalar(x) for x in row] for row in A]
+    if not rows or not rows[0]:
+        return 0, []
+    m, n = len(rows), len(rows[0])
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    kernel = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [normalize_scalar(0)] * n
+        v[free] = normalize_scalar(1)
+        for idx, pc in enumerate(pivots):
+            v[pc] = normalize_scalar(-rows[idx][free])
+        kernel.append(v)
+    return len(pivots), kernel
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Matrices of one scalar kind, with rows that often repeat the span of
+    earlier ones, so the rank is often deficient."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    scalars = draw(st.sampled_from(_SCALAR_KINDS))
+    rows = []
+    for i in range(m):
+        if i >= 1 and draw(st.booleans()):
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows.append([a * x + b * y for x, y in zip(rows[j], rows[k])])
+        else:
+            rows.append([draw(scalars) for _ in range(n)])
+    return rows
+
+
+@given(kernel_matrices())
+def test_rank_kernel_matches_fraction_gauss_jordan(A):
+    assert repr(rank_kernel(A)) == repr(reference_rank_kernel(A))
+
+
+def test_rank_kernel_matches_fraction_gauss_jordan_on_gram_matrices():
+    for family, n in (("sp", 3), ("hof", 4), ("pp", 4), ("of", 4)):
+        G = gram_matrix(family, n)
+        assert repr(rank_kernel(G)) == repr(reference_rank_kernel(G))
+
+
+def test_rank_kernel_edge_shapes():
+    zero = normalize_scalar(0)
+    one = normalize_scalar(1)
+    assert rank_kernel([[0, 0], [0, 0]]) == (0, [[one, zero], [zero, one]])
+    assert rank_kernel([]) == (0, []) and rank_kernel([[], []]) == (0, [])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rank_kernel([[1, 2], [3]])
+
+
 # -- congruence certificates -----------------------------------------------------------
 
 

@@ -1,10 +1,17 @@
 """Tests for the linear-extension morphism, the permutation/plane-poset
 bijections, the heap-ordered-forest projection, and the pairing radical."""
 
+import functools
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
-from dposet.algebra import LinComb, format_lincomb, pairing, parse_lincomb
+from dposet import morphisms
+from dposet.algebra import GaussRat, LinComb, format_lincomb, pairing, parse_lincomb
 from dposet.fqsym import Permutation, parse_permutation, weak_interval_down
+from dposet.linalg import mat_inverse
 from dposet.morphisms import (
     bruhat_interval_check,
     linear_extensions,
@@ -20,6 +27,7 @@ from dposet.morphisms import (
 from dposet.poset_core import (
     canonical_form,
     enumerate_family,
+    extension_words,
     format_poset,
     iota,
     parse_poset,
@@ -148,6 +156,73 @@ def test_theta_hof_inverse_sections_theta():
         for F in enumerate_family("hof", n):
             x = LinComb(((F, 1),))
             assert theta_hof_inverse(theta(x)) == x
+
+
+@functools.lru_cache(maxsize=None)
+def dense_theta_inverse_matrix(n):
+    """The definitional route at degree ``n``: the inverse of the square 0/1
+    matrix of theta over the heap-ordered forests."""
+    basis = enumerate_family("hof", n)
+    perms = sorted({s for F in basis for s in linear_extensions(F)}, key=Permutation.sort_key)
+    index = {p: i for i, p in enumerate(perms)}
+    matrix = [[0] * len(basis) for _ in perms]
+    for j, F in enumerate(basis):
+        for sigma in linear_extensions(F):
+            matrix[index[sigma]][j] = 1
+    return basis, index, mat_inverse(matrix)
+
+
+def dense_theta_hof_inverse(y, n):
+    basis, index, inverse = dense_theta_inverse_matrix(n)
+    return LinComb(
+        (F, row[index[sigma]] * coeff)
+        for F, row in zip(basis, inverse)
+        for sigma, coeff in y.items()
+    )
+
+
+def random_permutation_combination(rng, n, size):
+    words = rng.sample(list(itertools.permutations(range(1, n + 1))), size)
+    coeffs = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)), GaussRat(rng.randint(-3, 3), 1))
+    return LinComb((Permutation(w), rng.choice(coeffs)) for w in words)
+
+
+def test_back_substitution_matches_the_dense_inverse():
+    rng = random.Random(20240901)
+    for n in range(1, 6):
+        basis = list(itertools.permutations(range(1, n + 1)))
+        cases = [LinComb.basis(Permutation(w)) for w in basis]
+        cases += [random_permutation_combination(rng, n, min(len(basis), 7)) for _ in range(5)]
+        for y in cases:
+            expected = format_lincomb(dense_theta_hof_inverse(y, n))
+            assert format_lincomb(theta_hof_inverse(y)) == expected
+
+
+def test_theta_hof_inverse_sections_theta_at_degree_six():
+    rng = random.Random(6)
+    forests = enumerate_family("hof", 6)
+    for _ in range(8):
+        y = random_permutation_combination(rng, 6, 12)
+        assert theta(theta_hof_inverse(y)) == y
+        x = LinComb((F, rng.randint(-5, 5)) for F in rng.sample(forests, 4))
+        assert theta_hof_inverse(theta(x)) == x
+
+
+def test_theta_hof_inverse_raises_when_keys_collide(monkeypatch):
+    forests = enumerate_family("hof", 3)
+    monkeypatch.setattr(morphisms, "enumerate_family", lambda family, n: forests + forests[:1])
+    morphisms._hof_theta_inverse.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="theta is not invertible"):
+            theta_hof_inverse(lc("123"))
+    finally:
+        morphisms._hof_theta_inverse.cache_clear()
+
+
+def test_linear_extensions_wrap_the_extension_words():
+    for n in range(5):
+        for P in enumerate_family("sp", n):
+            assert [s.word for s in linear_extensions(P)] == list(extension_words(P))
 
 
 def test_theta_hof_inverse_rejects_poset_keys():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dposet import poset_core
 from dposet.poset_core import (
     DoublePoset,
     Family,
@@ -122,6 +123,13 @@ def test_enumerate_family_is_sorted_and_canonical():
         elems = enumerate_family(family, 3)
         assert elems == sorted(elems, key=DoublePoset.sort_key)
         assert len(set(elems)) == len(elems)
+
+
+def test_order_masks_sort_like_their_pair_lists():
+    for n in range(6):
+        masks = poset_core._sp_masks(n)
+        pairs = [[(v + 1, w + 1) for v in range(n) for w in range(n) if up[v] >> w & 1] for up in masks]
+        assert pairs == sorted(pairs)
 
 
 def test_enumerate_degree_cap():
