@@ -499,37 +499,64 @@ def lc_product(x, y):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _key_coproduct(key):
+    """Every cut of a basis key, once, as ``(right, Tensor(left, right))``:
+    ``right`` is the bitmask of the labels (poset) or values (permutation)
+    that the cut sends to the right factor.
+
+    A poset is cut along each up-set of its first order, a permutation's word
+    between two positions.  The full, reduced and split coproducts are
+    filters over this list.  An entry takes at most 30 KB at degree 5 and
+    62 KB at degree 6 (the antichain's 32 and 64 cuts), so the 64 keys used
+    last stay under 4 MB.
+    """
     if isinstance(key, DoublePoset):
         labels = frozenset(range(1, key.n + 1))
-        return LinComb(
-            (Tensor(restrict(key, labels - ideal), restrict(key, ideal)), 1)
+        return tuple(
+            (
+                sum(1 << (v - 1) for v in ideal),
+                Tensor(restrict(key, labels - ideal), restrict(key, ideal)),
+            )
             for ideal in ideals(key)
         )
-    from .fqsym import Permutation, fq_coproduct
+    from .fqsym import Permutation, _cuts
 
     if isinstance(key, Permutation):
-        return fq_coproduct(key)
+        return _cuts(key)
     raise TypeError(f"no coproduct on keys of this kind: {key!r}")
 
 
 def coproduct(x):
-    """Full coproduct: sum over up-sets I of (P restricted away from I) (x) (P
-    restricted to I), including the two trivial ideals."""
-    return as_lincomb(x).apply(_key_coproduct)
+    """Full coproduct: every cut of each key, the two trivial ones included;
+    for a poset P, the sum over up-sets I of (P restricted away from I) (x)
+    (P restricted to I)."""
+    return LinComb((T, c) for key, c in as_lincomb(x).items() for _, T in _key_coproduct(key))
 
 
 def reduced_coproduct(x):
     """Coproduct without the two trivial terms (both factors nonempty)."""
-    def reduced(key):
-        return LinComb(
-            (T, c)
-            for T, c in _key_coproduct(key).items()
-            if all(key_degree(f) > 0 for f in T.factors)
-        )
+    return LinComb(
+        (T, c)
+        for key, c in as_lincomb(x).items()
+        for right, T in _key_coproduct(key)
+        if 0 < right < (1 << key.n) - 1
+    )
 
-    return as_lincomb(x).apply(reduced)
+
+def _half_coproducts(x, least=False):
+    """The reduced coproduct split by a pivot, the greatest label or value of
+    each key (the least with ``least``): ``(prec, succ)``, where ``prec``
+    keeps the cuts whose right factor lacks the pivot and ``succ`` those
+    whose right factor holds it."""
+    halves = ([], [])
+    for key, c in as_lincomb(x).items():
+        full = (1 << key.n) - 1
+        pivot = 1 if least else (full + 1) >> 1
+        for right, T in _key_coproduct(key):
+            if 0 < right < full:
+                halves[bool(right & pivot)].append((T, c))
+    return LinComb(halves[0]), LinComb(halves[1])
 
 
 @lru_cache(maxsize=None)

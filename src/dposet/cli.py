@@ -106,6 +106,21 @@ def _emit_lincomb(fmt, value):
     )
 
 
+def _emit_elements(fmt, family, degree, elements):
+    _emit(
+        fmt,
+        {
+            "kind": "elements",
+            "family": family,
+            "degree": degree,
+            "count": len(elements),
+            "elements": elements,
+        },
+        elements,
+        [["literal"], *[[e] for e in elements]],
+    )
+
+
 def _emit_literal(fmt, value):
     _emit(fmt, {"kind": "literal", "value": value}, [value], [["value"], [value]])
 
@@ -146,6 +161,18 @@ def _violation_csv(violations, keys):
     return rows
 
 
+def _emit_report(fmt, payload, command, keys):
+    """Print a verification report: ``pass``, or each violation as the
+    re-runnable ``command`` and then a failure exit."""
+    violations = payload["violations"]
+    if not violations:
+        _emit(fmt, payload, ["pass"], _violation_csv([], keys))
+        return
+    lines = _violation_lines(command, violations, keys)
+    _emit(fmt, payload, lines, _violation_csv(violations, keys))
+    raise VerificationFailure(command)
+
+
 @click.group(name="dposet")
 def cli():
     """Exact computations with double posets, permutations, and pairings."""
@@ -157,19 +184,8 @@ def cli():
 @_format_option
 def enumerate_cmd(family, degree, fmt):
     """List the canonical members of a family at one degree."""
-    elements = [format_poset(P) for P in enumerate_family(family, degree)]
-    _emit(
-        fmt,
-        {
-            "kind": "elements",
-            "family": family,
-            "degree": degree,
-            "count": len(elements),
-            "elements": elements,
-        },
-        elements,
-        [["literal"], *[[e] for e in elements]],
-    )
+    basis = enumerate_family(family, degree)
+    _emit_elements(fmt, family, degree, [format_poset(P) for P in basis])
 
 
 @cli.command(name="classify")
@@ -259,19 +275,8 @@ def gram_cmd(family, degree, fmt):
 @_format_option
 def kernel_cmd(family, degree, fmt):
     """Basis of the pairing radical of a family at one degree."""
-    elements = [format_lincomb(v) for v in pairing_kernel_basis(family, degree)]
-    _emit(
-        fmt,
-        {
-            "kind": "elements",
-            "family": family,
-            "degree": degree,
-            "count": len(elements),
-            "elements": elements,
-        },
-        elements,
-        [["literal"], *[[e] for e in elements]],
-    )
+    kernel = pairing_kernel_basis(family, degree)
+    _emit_elements(fmt, family, degree, [format_lincomb(v) for v in kernel])
 
 
 @cli.command(name="theta")
@@ -375,18 +380,8 @@ def isometry_verify_cmd(variant, max_degree, fmt):
     """Check the plane-to-special isometry tables degree by degree."""
     spec = plane_to_special_isometry(max_degree=max_degree, variant=variant)
     report = verify_graded_isometry(spec, max_degree)
-    payload = {"kind": "isometry_report", **report}
-    if report["ok"]:
-        _emit(fmt, payload, ["pass"], _violation_csv([], _ISO_KEYS))
-        return
     command = f"dposet isometry verify --variant {variant} --max-degree {max_degree}"
-    _emit(
-        fmt,
-        payload,
-        _violation_lines(command, report["violations"], _ISO_KEYS),
-        _violation_csv(report["violations"], _ISO_KEYS),
-    )
-    raise VerificationFailure(command)
+    _emit_report(fmt, {"kind": "isometry_report", **report}, command, _ISO_KEYS)
 
 
 @cli.command(name="decorations")
@@ -422,19 +417,9 @@ _SUITE_KEYS = ("axiom", "elements", "expected", "got")
 def verify_cmd(suite, max_degree, fmt):
     """Run one axiom suite exhaustively through a total degree."""
     report = check_axioms(suite, max_degree=max_degree)
-    ok = not report["violations"]
-    payload = {"kind": "suite_report", "ok": ok, **report}
-    if ok:
-        _emit(fmt, payload, ["pass"], _violation_csv([], _SUITE_KEYS))
-        return
     command = f"dposet verify --suite {suite} --max-degree {max_degree}"
-    _emit(
-        fmt,
-        payload,
-        _violation_lines(command, report["violations"], _SUITE_KEYS),
-        _violation_csv(report["violations"], _SUITE_KEYS),
-    )
-    raise VerificationFailure(command)
+    payload = {"kind": "suite_report", "ok": not report["violations"], **report}
+    _emit_report(fmt, payload, command, _SUITE_KEYS)
 
 
 def run(argv=None):

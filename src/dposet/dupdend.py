@@ -4,9 +4,11 @@
   special posets; together with composition it is a duplicial algebra.
 - ``sp_dendriform_coproducts``: the reduced coproduct split by whether the
   vertex with the greatest label lands in the ideal; a dendriform coalgebra
-  compatible with the duplicial products.
+  compatible with the duplicial products.  Theta carries it onto the split
+  of permutations by their greatest letter (``fq_dendriform_coproducts``).
 - ``spp_dendriform_coproducts``: the analogous split on special plane posets
-  by the vertex with the least label; a codendriform structure.
+  by the vertex with the least label; a codendriform structure.  Every split
+  filters the cut list that ``algebra`` caches per basis key.
 - ``spf_prec`` / ``spf_succ``: dendriform half-products on special plane
   forests, defined recursively from grafting onto a new root; adjoint to the
   split coproducts under the picture pairing.
@@ -20,7 +22,7 @@ from functools import lru_cache
 
 from .algebra import (
     LinComb,
-    Tensor,
+    _half_coproducts,
     apply_slot,
     format_lincomb,
     lc_product,
@@ -35,7 +37,6 @@ from .morphisms import theta
 from .poset_core import (
     compose,
     enumerate_family,
-    ideals,
     is_special,
     is_special_plane,
     is_special_plane_forest,
@@ -69,35 +70,25 @@ def sp_nwarrow(x, y):
 # -- split coproducts -------------------------------------------------------------
 
 
-def _split_coproducts(x, anchor, check, failure):
-    halves = ([], [])  # prec: ideals avoiding the pivot; succ: containing it
-    for P, c in require_augmented(x).items():
-        if not check(P):
-            raise ValueError(failure)
-        n = P.n
-        labels = frozenset(range(1, n + 1))
-        pivot = anchor(P)
-        for ideal in ideals(P):
-            if 0 < len(ideal) < n:
-                T = Tensor(restrict(P, labels - ideal), restrict(P, ideal))
-                halves[pivot in ideal].append((T, c))
-    return LinComb(halves[0]), LinComb(halves[1])
+def _split_coproducts(x, check, failure, least=False):
+    x = require_augmented(x)
+    if not all(check(P) for P, _ in x.items()):
+        raise ValueError(failure)
+    return _half_coproducts(x, least)
 
 
 def sp_dendriform_coproducts(x):
     """Reduced coproduct of special posets split by the position of the
     vertex with the greatest label: ``(prec, succ)`` with ``prec`` the ideals
     avoiding it and ``succ`` the ideals containing it."""
-    return _split_coproducts(x, lambda P: P.n, is_special, "not a special poset")
+    return _split_coproducts(x, is_special, "not a special poset")
 
 
 def spp_dendriform_coproducts(x):
     """Reduced coproduct of special plane posets split by the position of
     the vertex with the least label: ``(prec, succ)`` with ``prec`` the
     ideals avoiding it and ``succ`` the ideals containing it."""
-    return _split_coproducts(
-        x, lambda P: 1, is_special_plane, "not a special plane poset"
-    )
+    return _split_coproducts(x, is_special_plane, "not a special plane poset", least=True)
 
 
 # -- dendriform half-products on special plane forests ----------------------------
@@ -504,14 +495,6 @@ def _check_lemma36(max_degree, violations):
     return checked
 
 
-def _fq_split_lc(x):
-    halves = ([], [])
-    for p, c in x.items():
-        for half, part in zip(halves, fq_dendriform_coproducts(p)):
-            half.extend((T, c * d) for T, d in part.items())
-    return LinComb(halves[0]), LinComb(halves[1])
-
-
 def _push_theta(tens):
     return apply_slot(apply_slot(tens, 0, theta), 1, theta)
 
@@ -529,7 +512,7 @@ def _check_theta_dupdend(max_degree, violations):
         for P in enumerate_family("sp", n):
             x = LinComb.basis(P)
             prec, succ = sp_dendriform_coproducts(x)
-            fq_prec, fq_succ = _fq_split_lc(theta(x))
+            fq_prec, fq_succ = fq_dendriform_coproducts(theta(x))
             cases = (
                 ("theta-coproduct-prec", _push_theta(prec), fq_prec),
                 ("theta-coproduct-succ", _push_theta(succ), fq_succ),
@@ -560,6 +543,8 @@ def check_axioms(suite, max_degree=4):
     if suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite id: {suite}")
     max_degree = int(max_degree)
+    if max_degree < 1:
+        raise ValueError("max_degree must be positive")
     violations = []
     checked = _SUITE_RUNNERS[suite](max_degree, violations)
     return {

@@ -4,7 +4,9 @@ The basis is indexed by permutations written in one-line notation.  The
 product shuffles two words (second one shifted), the coproduct cuts a word
 and standardizes both halves, and the pairing makes a permutation dual to
 its inverse.  Half-coproducts split the cuts of a word according to which
-side its maximal letter lands on.
+side its maximal letter lands on.  ``algebra`` keeps one cached cut list per
+key; the full, reduced and half coproducts here are its filters, and the
+half-coproduct split is the one theta carries the special-poset split to.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import re
 from functools import lru_cache
 
-from .algebra import LinComb, Tensor, as_lincomb
+from .algebra import LinComb, Tensor, _half_coproducts, as_lincomb, coproduct, reduced_coproduct
 from .poset_core import inverse_word
 
 __all__ = [
@@ -154,23 +156,27 @@ def shuffle_product(p, q):
     )
 
 
+def _cuts(p):
+    """Each cut of the word, as ``(right, Tensor(left, right))`` with both
+    halves standardized and ``right`` the bitmask of the values in the right
+    half; the cut list that ``algebra`` caches per key."""
+    out = []
+    right = (1 << p.n) - 1
+    for k in range(p.n + 1):
+        out.append((right, Tensor(standardize(p.word[:k]), standardize(p.word[k:]))))
+        if k < p.n:
+            right ^= 1 << (p.word[k] - 1)
+    return tuple(out)
+
+
 def fq_coproduct(p):
     """All cuts of the word, both halves standardized."""
-    return LinComb(
-        (
-            Tensor(standardize(p.word[:k]), standardize(p.word[k:])),
-            1,
-        )
-        for k in range(p.n + 1)
-    )
+    return coproduct(p)
 
 
 def fq_reduced_coproduct(p):
     """Cuts with both halves nonempty."""
-    return LinComb(
-        (Tensor(standardize(p.word[:k]), standardize(p.word[k:])), 1)
-        for k in range(1, p.n)
-    )
+    return reduced_coproduct(p)
 
 
 def fq_pairing(p, q):
@@ -233,18 +239,11 @@ def fq_nwarrow(x, y):
     )
 
 
-def fq_dendriform_coproducts(p):
-    """Half-coproduct pair (prec, succ): cuts keeping the maximal letter in
-    the left, resp. right, half.  Trivial cuts are excluded."""
-    if p.n == 0:
+def fq_dendriform_coproducts(x):
+    """Half-coproduct pair (prec, succ) of a permutation or a combination of
+    them: cuts keeping the maximal letter in the left, resp. right, half.
+    Trivial cuts are excluded."""
+    x = as_lincomb(x)
+    if any(p.n == 0 for p, _ in x.items()):
         raise ValueError("empty permutation")
-    top = p.word.index(p.n) + 1
-    prec = LinComb(
-        (Tensor(standardize(p.word[:k]), standardize(p.word[k:])), 1)
-        for k in range(top, p.n)
-    )
-    succ = LinComb(
-        (Tensor(standardize(p.word[:k]), standardize(p.word[k:])), 1)
-        for k in range(1, top)
-    )
-    return prec, succ
+    return _half_coproducts(x)

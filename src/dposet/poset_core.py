@@ -307,16 +307,21 @@ def is_heap_ordered(P):
     return all((P.up1[v] & ~nat[v]) == 0 for v in range(P.n))
 
 
-def has_forest_hasse(P):
-    """Every vertex has at most one lower cover in the first order."""
-    for v in range(P.n):
+def _forest(up, down):
+    """Every vertex has at most one lower cover, on closed up- and down-masks."""
+    for below in down:
         found = 0
-        for u in _bits(P.down1[v]):
-            if not (P.up1[u] & P.down1[v]):
+        for u in _bits(below):
+            if not (up[u] & below):
                 found += 1
                 if found > 1:
                     return False
     return True
+
+
+def has_forest_hasse(P):
+    """Every vertex has at most one lower cover in the first order."""
+    return _forest(P.up1, P.down1)
 
 
 def is_ordered_forest(P):
@@ -337,13 +342,13 @@ def is_special_plane(P):
     """
     if not is_heap_ordered(P):
         return False
-    n = P.n
-    r = [P.up2[v] & ~(P.up1[v] | P.down1[v]) for v in range(n)]
-    for v in range(n):
-        for w in _bits(r[v]):
-            if r[w] & ~r[v]:
-                return False
-    return True
+    r = _complement(P)
+    return not any(r[w] & ~r[v] for v in range(P.n) for w in _bits(r[v]))
+
+
+def _complement(P):
+    """The second order kept only on the pairs incomparable in the first."""
+    return [P.up2[v] & ~(P.up1[v] | P.down1[v]) for v in range(P.n)]
 
 
 def _n_patterns():
@@ -530,8 +535,7 @@ def plane_version(P):
     """
     if not is_special_plane(P):
         raise ValueError("not a special plane poset")
-    r = [P.up2[v] & ~(P.up1[v] | P.down1[v]) for v in range(P.n)]
-    return DoublePoset._from_masks(P.n, P.up1, r)
+    return DoublePoset._from_masks(P.n, P.up1, _complement(P))
 
 
 def canonical_form(P):
@@ -640,44 +644,46 @@ def max_degree():
         raise ValueError(f"DPOSET_MAX_DEGREE must be an integer, not {value!r}") from None
 
 
+# The membership test of every proper family, read by both ``classify`` and
+# ``enumerate_family``.  Every special family but SP and OF is heap-ordered.
+_FAMILY_TESTS = {
+    Family.SP: is_special,
+    Family.HOP: is_heap_ordered,
+    Family.OF: is_ordered_forest,
+    Family.HOF: is_heap_forest,
+    Family.SPP: is_special_plane,
+    Family.SWNP: is_special_wn,
+    Family.SPF: is_special_plane_forest,
+    Family.PP: is_plane,
+    Family.WNP: is_plane_wn,
+    Family.PF: is_plane_forest,
+}
+
+# The special plane family whose plane versions each plane family enumerates.
+_PLANE_OF = {Family.PP: Family.SPP, Family.WNP: Family.SWNP, Family.PF: Family.SPF}
+
+
 def classify(P):
     """The set of proper families containing ``P`` (ambient DP excluded)."""
-    tags = set()
-    if is_special(P):
-        tags.add(Family.SP)
-        if is_heap_ordered(P):
-            tags.add(Family.HOP)
-        if is_ordered_forest(P):
-            tags.add(Family.OF)
-        if is_heap_forest(P):
-            tags.add(Family.HOF)
-        if is_special_plane(P):
-            tags.add(Family.SPP)
-            if is_special_wn(P):
-                tags.add(Family.SWNP)
-            if is_special_plane_forest(P):
-                tags.add(Family.SPF)
-    if is_plane(P):
-        tags.add(Family.PP)
-        if is_plane_wn(P):
-            tags.add(Family.WNP)
-        if is_plane_forest(P):
-            tags.add(Family.PF)
-    return tags
+    return {family for family, test in _FAMILY_TESTS.items() if test(P)}
 
 
 @lru_cache(maxsize=None)
-def _sp_masks(n):
-    """All transitively closed strict orders on 1..n, as up-mask tuples.
+def _sp_masks(n, heap=False):
+    """All transitively closed strict orders on 1..n, as up-mask tuples
+    sorted by pair code; with ``heap``, only the heap-ordered ones, whose
+    relations all increase labels (4,824 of the 130,023 orders at n = 6).
 
     Incremental: a closed order on 1..n restricts to one on 1..n-1, plus a
     down-closed set D below the new top label and an up-closed set U above it
-    with U contained in every up-set of D.
+    with U contained in every up-set of D.  In a heap-ordered order nothing
+    lies above the top label, so U is empty.  Callers pass ``heap``
+    positionally, so that each order set has one cache entry.
     """
     if n == 0:
         return ((),)
     out = []
-    for up in _sp_masks(n - 1):
+    for up in _sp_masks(n - 1, heap):
         m = n - 1
         down = [0] * m
         for v in range(m):
@@ -693,7 +699,7 @@ def _sp_masks(n):
                 common &= up[d]
             if not ok:
                 continue
-            common &= ~D
+            common = 0 if heap else common & ~D
             sub = common
             while True:
                 U = sub
@@ -709,36 +715,6 @@ def _sp_masks(n):
     return tuple(out)
 
 
-def _mask_is_heap(n, up):
-    nat = _natural_up(n)
-    return all((up[v] & ~nat[v]) == 0 for v in range(n))
-
-
-def _mask_is_forest(n, up):
-    down = _downs(n, up)
-    for v in range(n):
-        found = 0
-        for u in _bits(down[v]):
-            if not (up[u] & down[v]):
-                found += 1
-                if found > 1:
-                    return False
-    return True
-
-
-def _mask_is_spp(n, up):
-    if not _mask_is_heap(n, up):
-        return False
-    nat = _natural_up(n)
-    down = _downs(n, up)
-    r = [nat[v] & ~(up[v] | down[v]) for v in range(n)]
-    for v in range(n):
-        for w in _bits(r[v]):
-            if r[w] & ~r[v]:
-                return False
-    return True
-
-
 def _special(n, up):
     return DoublePoset._from_masks(n, up, _natural_up(n))
 
@@ -747,7 +723,8 @@ def enumerate_family(family, n):
     """All degree-``n`` members of the family, sorted by canonical key.
 
     Special families come out in their special-poset incarnation; the PP,
-    WNP, and PF tags yield the plane incarnations instead.
+    WNP, and PF tags yield the plane incarnations instead.  SP and OF walk
+    every order, the other special families only the heap-ordered ones.
     """
     family = Family(family)
     n = int(n)
@@ -756,38 +733,18 @@ def enumerate_family(family, n):
         raise ValueError("degree must be nonnegative")
     if n > cap:
         raise ValueError("degree too large")
-    masks = _sp_masks(n)
     if family is Family.DP:
+        masks = _sp_masks(n, False)
         return [
             DoublePoset._from_masks(n, up1, up2)
             for up1, up2 in itertools.product(masks, repeat=2)
         ]
+    if family in _PLANE_OF:
+        return [plane_version(P) for P in enumerate_family(_PLANE_OF[family], n)]
     if family is Family.SP:
-        return [_special(n, up) for up in masks]
-    if family is Family.HOP:
-        return [_special(n, up) for up in masks if _mask_is_heap(n, up)]
+        return [_special(n, up) for up in _sp_masks(n, False)]
     if family is Family.OF:
-        return [_special(n, up) for up in masks if _mask_is_forest(n, up)]
-    if family is Family.HOF:
-        return [
-            _special(n, up)
-            for up in masks
-            if _mask_is_heap(n, up) and _mask_is_forest(n, up)
-        ]
-    if family is Family.SPP:
-        return [_special(n, up) for up in masks if _mask_is_spp(n, up)]
-    if family is Family.SWNP:
-        return [P for P in enumerate_family(Family.SPP, n) if is_special_wn(P)]
-    if family is Family.SPF:
-        return [
-            _special(n, up)
-            for up in masks
-            if _mask_is_spp(n, up) and _mask_is_forest(n, up)
-        ]
-    if family is Family.PP:
-        return [plane_version(P) for P in enumerate_family(Family.SPP, n)]
-    if family is Family.WNP:
-        return [plane_version(P) for P in enumerate_family(Family.SWNP, n)]
-    if family is Family.PF:
-        return [plane_version(P) for P in enumerate_family(Family.SPF, n)]
-    raise ValueError(f"unknown family: {family!r}")
+        # the one filter over all orders: test the masks before building posets
+        return [_special(n, up) for up in _sp_masks(n, False) if _forest(up, _downs(n, up))]
+    test = _FAMILY_TESTS[family]
+    return [P for P in (_special(n, up) for up in _sp_masks(n, True)) if test(P)]

@@ -110,6 +110,8 @@ def one(order):
 def poincare_series(family, order):
     """Series whose degree-``n`` coefficient counts the family in degree n."""
     order = int(order)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     return RatSeries(
         tuple(len(enumerate_family(family, n)) for n in range(order + 1)), order
     )

@@ -99,6 +99,20 @@ def test_out_of_range_degree_is_domain_error(cli, monkeypatch, verb, degree, mes
     assert err == message
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("decorations", "--family", "sp", "--order", "-1"), "order must be nonnegative"),
+        (("verify", "--suite", "duplicial", "--max-degree", "-2"), "max_degree must be positive"),
+    ],
+)
+def test_negative_bounds_are_domain_errors(cli, argv, message):
+    code, out, err = cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_degree_cap_must_be_an_integer(cli, monkeypatch):
     monkeypatch.setenv("DPOSET_MAX_DEGREE", "abc")
     code, out, err = cli("enumerate", "--family", "sp", "--degree", "3")

@@ -20,7 +20,8 @@ from dposet.dupdend import (
     spf_succ,
     spp_dendriform_coproducts,
 )
-from dposet.poset_core import enumerate_family
+from dposet.algebra import Tensor, coproduct
+from dposet.poset_core import enumerate_family, ideals, restrict
 
 
 def lc(text):
@@ -92,6 +93,28 @@ def test_splits_sum_to_reduced_coproduct():
             assert prec + succ == reduced_coproduct(x)
 
 
+def _split_by_ideals(P, pivot):
+    """Reference: the full coproduct and the split one, by up-sets of P."""
+    labels = frozenset(range(1, P.n + 1))
+    full, halves = [], ([], [])
+    for ideal in ideals(P):
+        T = Tensor(restrict(P, labels - ideal), restrict(P, ideal))
+        full.append((T, 1))
+        if 0 < len(ideal) < P.n:
+            halves[pivot in ideal].append((T, 1))
+    return LinComb(full), LinComb(halves[0]), LinComb(halves[1])
+
+
+def test_splits_match_the_ideal_loop():
+    cases = [("sp", n, sp_dendriform_coproducts, n) for n in range(1, 5)]
+    cases += [("spp", n, spp_dendriform_coproducts, 1) for n in range(1, 6)]
+    for family, n, split, pivot in cases:
+        for P in enumerate_family(family, n):
+            full, prec, succ = _split_by_ideals(P, pivot)
+            assert coproduct(P) == full, P
+            assert split(LinComb.basis(P)) == (prec, succ), (family, P)
+
+
 def test_sp_split_rejects_non_special():
     with pytest.raises(ValueError, match="not a special poset"):
         sp_dendriform_coproducts(lc("PP(2; h: 1<2; r:)"))
@@ -100,6 +123,12 @@ def test_sp_split_rejects_non_special():
 def test_spp_split_rejects_plain_special():
     with pytest.raises(ValueError, match="not a special plane poset"):
         spp_dendriform_coproducts(lc("SP(3; 1<3, 3<2)"))
+
+
+@pytest.mark.parametrize("degree", [0, -2])
+def test_check_axioms_rejects_a_degree_below_one(degree):
+    with pytest.raises(ValueError, match="max_degree must be positive"):
+        check_axioms("duplicial", degree)
 
 
 def test_split_rejects_degree_zero_terms():

@@ -142,6 +142,28 @@ def test_fq_dendriform_coproducts_of_132():
         fq_dendriform_coproducts(pm("[]"))
 
 
+def _split_by_positions(p):
+    """Reference: the cuts after the maximal letter, then those before it."""
+    top = p.word.index(p.n) + 1
+    cut = lambda k: (Tensor(standardize(p.word[:k]), standardize(p.word[k:])), 1)
+    return (
+        LinComb(cut(k) for k in range(top, p.n)),
+        LinComb(cut(k) for k in range(1, top)),
+    )
+
+
+def test_dendriform_coproducts_match_the_cut_positions():
+    for n in range(1, 6):
+        total = ([], [])
+        for c, p in enumerate(words(n), 1):
+            prec, succ = _split_by_positions(p)
+            assert fq_dendriform_coproducts(p) == (prec, succ), p
+            total[0].append(c * prec)
+            total[1].append(c * succ)
+        x = LinComb((p, c) for c, p in enumerate(words(n), 1))
+        assert fq_dendriform_coproducts(x) == tuple(map(LinComb.sum, total)), n
+
+
 def test_dendriform_coproducts_sum_to_reduced_coproduct():
     for p in words(4):
         prec, succ = fq_dendriform_coproducts(p)

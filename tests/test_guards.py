@@ -1,11 +1,13 @@
 """Source guards: patterns that the package has removed and must not regrow."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import dposet
 
 SOURCES = sorted(Path(dposet.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # Rewriting replaces one term of its state per step; the state is not a sum
 # being accumulated.
@@ -76,3 +78,26 @@ def test_no_sum_is_rebuilt_inside_a_loop():
         if (path.name, function) not in REBINDING_ALLOWED
     ]
     assert found == [], "accumulate into a list or LinComb.sum instead:\n" + "\n".join(found)
+
+
+def _tracer_table(name):
+    """The literal value of a module-level assignment in the bench tracer."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {TRACER}")
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    missing = [
+        f"{module}.{function}"
+        for module, functions in _tracer_table("SPANS").items()
+        for function in functions
+        if not callable(getattr(importlib.import_module("dposet." + module), function, None))
+    ]
+    uncached = [
+        f"{module}.{function}"
+        for module, function in _tracer_table("CACHES")
+        if not hasattr(getattr(importlib.import_module("dposet." + module), function, None), "cache_info")
+    ]
+    assert (missing, uncached) == ([], [])

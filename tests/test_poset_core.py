@@ -132,6 +132,52 @@ def test_order_masks_sort_like_their_pair_lists():
         assert pairs == sorted(pairs)
 
 
+# Degree-6 sizes of the heap-ordered families: heap orders (OEIS A006455),
+# n! heap-ordered forests and special plane posets, large Schroeder numbers
+# without N, Catalan numbers of plane forests.
+DEGREE_SIX_COUNTS = {
+    "hop": 4824,
+    "hof": 720,
+    "spp": 720,
+    "pp": 720,
+    "swnp": 394,
+    "wnp": 394,
+    "spf": 132,
+    "pf": 132,
+}
+
+
+def test_heap_family_counts_at_degree_six():
+    for family, count in DEGREE_SIX_COUNTS.items():
+        assert len(enumerate_family(family, 6)) == count, family
+
+
+def test_heap_masks_are_the_heap_filter_of_all_masks():
+    for n in range(6):
+        heap = [
+            up
+            for up in poset_core._sp_masks(n)
+            if all(up[v] & ((1 << (v + 1)) - 1) == 0 for v in range(n))
+        ]
+        assert list(poset_core._sp_masks(n, True)) == heap, n
+
+
+PLANE_FAMILIES = {Family.PP: Family.SPP, Family.WNP: Family.SWNP, Family.PF: Family.SPF}
+
+
+def test_families_are_classify_filters_of_special_posets():
+    for n in range(6):
+        special = enumerate_family("sp", n)
+        tags = [classify(P) for P in special]
+        for family in (Family.HOP, Family.OF, Family.HOF, Family.SPP, Family.SWNP, Family.SPF):
+            members = [P for P, t in zip(special, tags) if family in t]
+            assert enumerate_family(family, n) == members, (family, n)
+        for family, incarnation in PLANE_FAMILIES.items():
+            members = [plane_version(P) for P, t in zip(special, tags) if incarnation in t]
+            assert enumerate_family(family, n) == members, (family, n)
+            assert all(family in classify(Q) for Q in members), (family, n)
+
+
 def test_enumerate_degree_cap():
     with pytest.raises(ValueError):
         enumerate_family("dp", 5)
