@@ -35,14 +35,14 @@ from functools import lru_cache
 from .poset_core import (
     DoublePoset,
     SpecialPoset,
+    _restrict,
+    _up_sets,
     compose,
     enumerate_family,
     extension_words,
-    ideals,
     inverse_word,
     is_special,
     parse_poset,
-    restrict,
 )
 
 __all__ = [
@@ -174,15 +174,24 @@ class GaussRat:
 I = GaussRat(0, 1)
 
 
+def _coefficient(value):
+    """The stored form of a coefficient: ``int`` when integral, ``Fraction``
+    for a real denominator, ``GaussRat`` only for a nonzero imaginary part."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, GaussRat):
+        return _coefficient(value.re) if value.im == 0 else value
+    raise TypeError(f"unsupported scalar: {value!r}")
+
+
 def normalize_scalar(value):
     """Return the canonical form: Fraction when real, GaussRat otherwise."""
-    if isinstance(value, GaussRat):
-        return value.re if value.im == 0 else value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
-    raise TypeError(f"unsupported scalar: {value!r}")
+    value = _coefficient(value)
+    return Fraction(value) if type(value) is int else value
 
 
 def format_scalar(value):
@@ -306,6 +315,11 @@ class LinComb:
     coefficients of repeated keys, drops zeros and checks the basis kind
     once.  The terms are kept unordered: :meth:`terms`, :meth:`support` and
     :func:`format_lincomb` sort them into canonical key order on first use.
+
+    A stored coefficient is an ``int`` when integral, a ``Fraction`` only with
+    a denominator and a ``GaussRat`` only with a nonzero imaginary part.
+    Equality, hashing and printing do not depend on the form it was given
+    in, and :meth:`coeff` returns it in :func:`normalize_scalar` form.
     """
 
     __slots__ = ("_terms", "_sorted")
@@ -315,13 +329,13 @@ class LinComb:
         acc = {}
         get = acc.get
         for key, coeff in items:
-            if type(coeff) is not Fraction:
-                coeff = normalize_scalar(coeff)
+            if type(coeff) is not int:
+                coeff = _coefficient(coeff)
             old = get(key)
             if old is not None:
                 coeff = old + coeff
-                if type(coeff) is not Fraction:
-                    coeff = normalize_scalar(coeff)
+                if type(coeff) is not int:
+                    coeff = _coefficient(coeff)
             acc[key] = coeff
         if not all(acc.values()):
             acc = {k: c for k, c in acc.items() if c}
@@ -370,7 +384,7 @@ class LinComb:
         return list(self._canonical())
 
     def coeff(self, key):
-        return self._terms.get(key, Fraction(0))
+        return normalize_scalar(self._terms.get(key, 0))
 
     def degrees(self):
         return sorted({key_degree(k) for k in self._terms})
@@ -408,7 +422,7 @@ class LinComb:
         return LinComb((k, other * c) for k, c in self._terms.items())
 
     def __truediv__(self, scalar):
-        return LinComb((k, c / scalar) for k, c in self._terms.items())
+        return self * (Fraction(1) / scalar)
 
     def __bool__(self):
         return bool(self._terms)
@@ -439,7 +453,7 @@ def as_lincomb(x):
 
 def tensor_of(*factors):
     """Tensor product of combinations; tensor keys in factors are flattened."""
-    result = [((), Fraction(1))]
+    result = [((), 1)]
     for factor in factors:
         factor = as_lincomb(factor)
         step = []
@@ -507,18 +521,15 @@ def _key_coproduct(key):
 
     A poset is cut along each up-set of its first order, a permutation's word
     between two positions.  The full, reduced and split coproducts are
-    filters over this list.  An entry takes at most 30 KB at degree 5 and
-    62 KB at degree 6 (the antichain's 32 and 64 cuts), so the 64 keys used
-    last stay under 4 MB.
+    filters over this list.  An entry takes at most 19 KB at degree 5 and
+    38 KB at degree 6 (the antichain's 32 and 64 cuts), 27 KB and 54 KB once
+    its sort keys are made, so the 64 keys used last stay under 4 MB.
     """
     if isinstance(key, DoublePoset):
-        labels = frozenset(range(1, key.n + 1))
+        full = (1 << key.n) - 1
         return tuple(
-            (
-                sum(1 << (v - 1) for v in ideal),
-                Tensor(restrict(key, labels - ideal), restrict(key, ideal)),
-            )
-            for ideal in ideals(key)
+            (right, Tensor(_restrict(key, full ^ right), _restrict(key, right)))
+            for right in _up_sets(key)
         )
     from .fqsym import Permutation, _cuts
 
@@ -637,7 +648,7 @@ def _key_pairing(a, b):
     if isinstance(a, Tensor) and isinstance(b, Tensor):
         if len(a.factors) != len(b.factors):
             raise ValueError("mixed basis kinds")
-        value = Fraction(1)
+        value = 1
         for fa, fb in zip(a.factors, b.factors):
             value *= _key_pairing(fa, fb)
             if not value:
@@ -654,14 +665,14 @@ def _key_pairing(a, b):
 
 def pairing(x, y):
     """Bilinear extension of the basis pairing; exact scalar result."""
-    total = Fraction(0)
+    total = 0
     x = as_lincomb(x)
     y = as_lincomb(y)
     for kx, cx in x.items():
         for ky, cy in y.items():
             v = _key_pairing(kx, ky)
             if v:
-                total = normalize_scalar(total + cx * cy * v)
+                total += cx * cy * v
     return normalize_scalar(total)
 
 
@@ -791,7 +802,7 @@ def parse_lincomb(text):
             elif ch == "*" and depth == 0:
                 split_at = idx
         if split_at is None:
-            coeff = Fraction(1)
+            coeff = 1
             body = term
         else:
             coeff = parse_scalar(term[:split_at])

@@ -17,10 +17,10 @@ import sys
 import click
 
 from .algebra import (
+    _gram_cached,
     coproduct,
     format_lincomb,
     format_scalar,
-    gram_matrix,
     lc_product,
     pairing,
     parse_lincomb,
@@ -266,7 +266,7 @@ def pair_cmd(left, right, fmt):
 @_format_option
 def gram_cmd(family, degree, fmt):
     """Pairing matrix of a family basis at one degree."""
-    _emit_matrix(fmt, gram_matrix(family, degree))
+    _emit_matrix(fmt, _gram_cached(family, degree))
 
 
 @cli.command(name="kernel")

@@ -844,7 +844,9 @@ def plane_to_special_isometry(max_degree=3, variant="derived"):
     if variant not in ISOMETRY_VARIANTS:
         raise ValueError(f"unknown isometry variant: {variant!r}")
     max_degree = int(max_degree)
-    if not 1 <= max_degree <= 3:
+    if max_degree < 1:
+        raise ValueError("max_degree must be positive")
+    if max_degree > 3:
         raise ValueError("isometry tables stop at degree 3")
     alpha, beta = _ISOMETRY_DEG2[variant]
     point = SpecialPoset(1)

@@ -17,7 +17,7 @@
 
 from functools import lru_cache
 
-from .algebra import LinComb, as_lincomb, gram_matrix
+from .algebra import LinComb, _gram_cached, as_lincomb
 from .fqsym import Permutation, inversions, weak_interval_down
 from .linalg import rank_kernel
 from .poset_core import (
@@ -269,7 +269,7 @@ def pairing_kernel_basis(family, n):
     of a family (equivalently the kernel of theta intersected with the span,
     for the families containing all heap-ordered forests)."""
     basis = enumerate_family(family, n)
-    _, kernel = rank_kernel(gram_matrix(family, n))
+    _, kernel = rank_kernel(_gram_cached(family, n))
     return [LinComb(zip(basis, vec)) for vec in kernel]
 
 

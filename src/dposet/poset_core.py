@@ -126,10 +126,10 @@ def _pair_code(n, *ups):
 class DoublePoset:
     """Two strict partial orders on the labels 1..n, stored closed.
 
-    The hash is stored at construction and the sort key on first use.
+    The hash is stored at construction, the sort key and down masks on first use.
     """
 
-    __slots__ = ("n", "up1", "up2", "down1", "down2", "_hash", "_key")
+    __slots__ = ("n", "up1", "up2", "_down1", "_down2", "_hash", "_key")
 
     def __init__(self, n, pairs1=(), pairs2=()):
         n = int(n)
@@ -141,10 +141,24 @@ class DoublePoset:
         self.n = n
         self.up1 = up1
         self.up2 = up2
-        self.down1 = _downs(n, up1)
-        self.down2 = _downs(n, up2)
+        self._down1 = self._down2 = None
         self._hash = hash((n, up1, up2))
         self._key = None
+
+    @property
+    def down1(self):
+        """Closed lower-bound masks of the first order; most posets that the
+        kernels build never read them."""
+        if self._down1 is None:
+            self._down1 = _downs(self.n, self.up1)
+        return self._down1
+
+    @property
+    def down2(self):
+        """Closed lower-bound masks of the second order."""
+        if self._down2 is None:
+            self._down2 = _downs(self.n, self.up2)
+        return self._down2
 
     @classmethod
     def _from_masks(cls, n, up1, up2):
@@ -437,42 +451,55 @@ def compose(P, Q):
     return DoublePoset._from_masks(n + m, up1, up2)
 
 
+def _up_sets(P):
+    """The up-sets of the first order as bitmasks, sorted by (size, labels)."""
+    up = P.up1
+    above = [0] * (1 << P.n)  # above[S]: the labels above some label of S
+    masks = [0]
+    for S in range(1, 1 << P.n):
+        low = S & -S
+        above[S] = above[S ^ low] | up[low.bit_length() - 1]
+        if not above[S] & ~S:
+            masks.append(S)
+    masks.sort(key=lambda S: (S.bit_count(), list(_bits(S))))
+    return masks
+
+
 def ideals(P):
     """All up-sets of the first order, as label sets sorted by (size, labels)."""
-    n = P.n
-    out = []
-    for S in range(1 << n):
-        ok = True
-        for v in _bits(S):
-            if P.up1[v] & ~S:
-                ok = False
-                break
-        if ok:
-            out.append(frozenset(v + 1 for v in _bits(S)))
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    return [frozenset(v + 1 for v in _bits(S)) for S in _up_sets(P)]
 
 
 def restrict(P, labels):
     """Both orders restricted to ``labels``, relabeled 1..k by increasing label."""
-    keep = sorted(set(labels))
-    for a in keep:
-        if not (1 <= a <= P.n):
-            raise ValueError("bad label")
-    index = {a: i for i, a in enumerate(keep)}
+    labels = set(labels)
+    if not all(1 <= a <= P.n for a in labels):
+        raise ValueError("bad label")
+    return _restrict(P, sum(1 << (a - 1) for a in labels))
+
+
+def _restrict(P, keep):
+    """:func:`restrict` to the labels of the bitmask ``keep``: each kept
+    vertex's masks, cut to ``keep``, are packed down to the kept bits."""
+    kept = list(_bits(keep))
+    packed = [0] * P.n  # the bit each kept vertex takes after packing
+    for j, v in enumerate(kept):
+        packed[v] = 1 << j
 
     def project(up):
         rows = []
-        for a in keep:
-            mask = 0
-            for w in _bits(up[a - 1]):
-                j = index.get(w + 1)
-                if j is not None:
-                    mask |= 1 << j
-            rows.append(mask)
+        for v in kept:
+            m = up[v] & keep
+            row = 0
+            while m:
+                low = m & -m
+                row |= packed[low.bit_length() - 1]
+                m ^= low
+            rows.append(row)
         return rows
 
-    return DoublePoset._from_masks(len(keep), project(P.up1), project(P.up2))
+    up2 = _natural_up(len(kept)) if P.up2 == _natural_up(P.n) else project(P.up2)
+    return DoublePoset._from_masks(len(kept), project(P.up1), up2)
 
 
 def iota(P):

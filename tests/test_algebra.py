@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ideals_by_subsets, restrict_by_labels
 from dposet import algebra
 from dposet.algebra import (
     GaussRat,
@@ -210,6 +211,22 @@ def test_coproduct_is_an_algebra_morphism_in_low_degree():
                         lc_product(LinComb.basis(Ta.factors[1]), LinComb.basis(Tb.factors[1])),
                     )
             assert lhs == rhs, (P, Q)
+
+
+def test_key_coproduct_matches_the_ideal_construction():
+    for family in ("sp", "spp"):
+        for n in range(6):
+            for P in enumerate_family(family, n):
+                labels = frozenset(range(1, n + 1))
+                want = {
+                    (
+                        sum(1 << (a - 1) for a in ideal),
+                        Tensor(restrict_by_labels(P, labels - ideal), restrict_by_labels(P, ideal)),
+                    )
+                    for ideal in ideals_by_subsets(P)
+                }
+                cuts = algebra._key_coproduct(P)
+                assert len(cuts) == len(want) and set(cuts) == want, P
 
 
 # -- pairing ---------------------------------------------------------------------------
@@ -423,3 +440,69 @@ def test_mixed_kinds_are_rejected_on_every_path(kinds, data):
     ):
         with pytest.raises(ValueError, match="mixed basis kinds"):
             build()
+
+
+# -- coefficient forms ------------------------------------------------------------------
+
+
+def _forms(value):
+    """Every form a scalar can be passed in: int, Fraction or GaussRat."""
+    value = normalize_scalar(value)
+    if isinstance(value, GaussRat):
+        return [value]
+    forms = [value, GaussRat(value)]
+    if value.denominator == 1:
+        forms.append(int(value))
+    return forms
+
+
+def _stored_type(value):
+    value = normalize_scalar(value)
+    if isinstance(value, GaussRat):
+        return GaussRat
+    return int if value.denominator == 1 else Fraction
+
+
+@given(_raw_terms(), st.data())
+def test_coefficient_forms_give_the_same_combination(raw, data):
+    mixed = [(k, data.draw(st.sampled_from(_forms(c)))) for k, c in raw]
+    canonical = [(k, normalize_scalar(c)) for k, c in raw]
+    x, y = LinComb(mixed), LinComb(canonical)
+    assert x == y
+    assert hash(x) == hash(y)
+    assert format_lincomb(x) == format_lincomb(y)
+    for key, c in x.items():
+        assert type(c) is _stored_type(c)
+        assert type(x.coeff(key)) is (GaussRat if type(c) is GaussRat else Fraction)
+    for z in (x + y, x - y, -x, x * Fraction(2, 3), 3 * x, x / 2):
+        assert all(type(c) is _stored_type(c) for _, c in z.items())
+
+
+def test_integral_sums_are_stored_as_int():
+    P = SpecialPoset(1)
+    x = LinComb([(P, Fraction(1, 2)), (P, Fraction(3, 2)), (P, GaussRat(1, 1)), (P, GaussRat(0, -1))])
+    assert x.terms() == [(P, 3)] and type(x.terms()[0][1]) is int
+    assert type(x.coeff(P)) is Fraction and x.coeff(P) == 3
+    assert type(x.coeff(SpecialPoset(2))) is Fraction
+
+
+def test_division_goes_through_fraction():
+    P = SpecialPoset(1)
+    half = LinComb.basis(P, 3) / 2
+    assert half.terms() == [(P, Fraction(3, 2))] and type(half.terms()[0][1]) is Fraction
+    assert (LinComb.basis(P, 4) / 2).terms() == [(P, 2)]
+    assert (LinComb.basis(P, 2) / GaussRat(0, 1)).coeff(P) == GaussRat(0, -2)
+    with pytest.raises(ZeroDivisionError):
+        LinComb.basis(P) / 0
+    with pytest.raises(TypeError, match="unsupported scalar"):
+        LinComb.basis(P) / 2.0
+
+
+def test_pairing_returns_canonical_scalars():
+    x = lc("SP(2;) + 2*SP(2; 1<2)")
+    assert pairing(x, x) == 10 and type(pairing(x, x)) is Fraction
+    assert type(pairing(x, lc("SP(1;)"))) is Fraction
+    assert type(pairing(x, x / 3)) is Fraction
+    z = pairing(x, GaussRat(0, 1) * x)
+    assert type(z) is GaussRat and z == GaussRat(0, pairing(x, x))
+    assert type(pairing(x, GaussRat(1, 1) * x - GaussRat(0, 1) * x)) is Fraction

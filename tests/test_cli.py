@@ -104,6 +104,9 @@ def test_out_of_range_degree_is_domain_error(cli, monkeypatch, verb, degree, mes
     [
         (("decorations", "--family", "sp", "--order", "-1"), "order must be nonnegative"),
         (("verify", "--suite", "duplicial", "--max-degree", "-2"), "max_degree must be positive"),
+        (("isometry", "verify", "--max-degree", "-2"), "max_degree must be positive"),
+        (("isometry", "verify", "--max-degree", "0"), "max_degree must be positive"),
+        (("isometry", "verify", "--max-degree", "4"), "isometry tables stop at degree 3"),
     ],
 )
 def test_negative_bounds_are_domain_errors(cli, argv, message):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ideals_by_subsets, restrict_by_labels
 from dposet import poset_core
 from dposet.poset_core import (
     DoublePoset,
@@ -206,6 +207,33 @@ def test_restrict_relabels_increasingly():
     assert restrict(P, {2, 3, 4}) == sp(3, (1, 2), (2, 3))
     with pytest.raises(ValueError):
         restrict(P, {5})
+
+
+def _small_posets():
+    return enumerate_family("dp", 3) + enumerate_family("sp", 5)
+
+
+def test_mask_restrict_matches_the_label_dict_restrict():
+    for P in _small_posets():
+        for keep in range(1 << P.n):
+            labels = [v + 1 for v in range(P.n) if (keep >> v) & 1]
+            got, want = restrict(P, labels), restrict_by_labels(P, labels)
+            assert got == want and type(got) is type(want), (P, labels)
+
+
+def test_mask_ideals_match_the_subset_filter():
+    for P in _small_posets():
+        assert ideals(P) == ideals_by_subsets(P), P
+
+
+def test_down_masks_are_made_on_first_use():
+    for P in _small_posets():
+        assert P._down1 is None and P._down2 is None
+        assert P.down1 == poset_core._downs(P.n, P.up1)
+        assert P.down2 == poset_core._downs(P.n, P.up2)
+        for v in range(P.n):
+            assert P.down1[v] == sum(1 << u for u in range(P.n) if P.less(u + 1, v + 1))
+            assert P.down2[v] == sum(1 << u for u in range(P.n) if P.less(u + 1, v + 1, 2))
 
 
 def test_iota_swaps_orders_and_reverse_rel2_is_involutive():
