@@ -188,10 +188,13 @@ def _coefficient(value):
 
 def normalize_scalar(value):
     """Return the canonical form: Fraction when real, GaussRat otherwise."""
-    if type(value) is Fraction:
+    if isinstance(value, GaussRat):
+        return value.re if value.im == 0 else value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
         return value
-    value = _coefficient(value)
-    return Fraction(value) if type(value) is int else value
+    raise TypeError(f"unsupported scalar: {value!r}")
 
 
 def format_scalar(value):
@@ -316,10 +319,9 @@ class LinComb:
     once.  The terms are kept unordered: :meth:`terms`, :meth:`support` and
     :func:`format_lincomb` sort them into canonical key order on first use.
 
-    A stored coefficient is an ``int`` when integral, a ``Fraction`` only with
-    a denominator and a ``GaussRat`` only with a nonzero imaginary part.
-    Equality, hashing and printing do not depend on the form it was given
-    in, and :meth:`coeff` returns it in :func:`normalize_scalar` form.
+    A coefficient is stored as an ``int`` when integral, a ``Fraction`` only
+    with a denominator and a ``GaussRat`` only with a nonzero imaginary part;
+    equality, hashing, printing and :meth:`coeff` do not depend on the form.
     """
 
     __slots__ = ("_terms", "_sorted")

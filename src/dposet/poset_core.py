@@ -147,8 +147,7 @@ class DoublePoset:
 
     @property
     def down1(self):
-        """Closed lower-bound masks of the first order; most posets that the
-        kernels build never read them."""
+        """Closed lower-bound masks of the first order; most posets never read them."""
         if self._down1 is None:
             self._down1 = _downs(self.n, self.up1)
         return self._down1
@@ -498,8 +497,7 @@ def _restrict(P, keep):
             rows.append(row)
         return rows
 
-    up2 = _natural_up(len(kept)) if P.up2 == _natural_up(P.n) else project(P.up2)
-    return DoublePoset._from_masks(len(kept), project(P.up1), up2)
+    return DoublePoset._from_masks(len(kept), project(P.up1), project(P.up2))
 
 
 def iota(P):

@@ -24,8 +24,11 @@ def workloads(monkeypatch):
     return importlib.import_module("workloads")
 
 
-@pytest.mark.parametrize("seed", [0, 11])
-@pytest.mark.parametrize("workload", ["suites", "special"])
+# The tiny ``suites`` invocations do not depend on the seed, so one seed
+# covers them; ``special`` draws its operands from the seed.
+@pytest.mark.parametrize(
+    ("workload", "seed"), [("suites", 0), ("special", 0), ("special", 11)]
+)
 def test_tiny_outputs_match_the_recorded_digests(workloads, capsys, workload, seed):
     expected = json.loads((workloads.DATA / "expected.json").read_text())["tiny"][workload]
     wrong = []
