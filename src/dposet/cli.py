@@ -291,7 +291,7 @@ def theta_cmd(operand, fmt):
 @click.argument("operand")
 @_format_option
 def upsilon_cmd(operand, fmt):
-    """Heap-ordered-forest rewriting of a special-poset combination."""
+    """Projection onto heap-ordered forests along the kernel of theta."""
     _emit_lincomb(fmt, upsilon_map(parse_lincomb(operand)))
 
 

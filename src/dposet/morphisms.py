@@ -7,6 +7,9 @@
 - ``theta_hof_inverse`` / ``upsilon``: theta is an isomorphism in restriction
   to heap-ordered forests; upsilon is the induced projection of special
   posets onto heap-ordered forests, a Hopf-algebra morphism and an isometry.
+  A permutation is the largest linear extension of the one forest in which
+  each letter hangs under the nearest earlier smaller letter, so the inverse
+  enumerates no forests.
 - ``rewrite_step`` / ``upsilon_by_rewriting``: local rewriting of a special
   poset into a combination with the same theta image; exhaustive rewriting
   recomputes upsilon without linear algebra.
@@ -15,6 +18,7 @@
   interval of the right weak order (characterizes special plane posets).
 """
 
+import itertools
 from functools import lru_cache
 
 from .algebra import LinComb, _gram_cached, as_lincomb
@@ -23,7 +27,7 @@ from .linalg import rank_kernel
 from .poset_core import (
     DoublePoset,
     SpecialPoset,
-    empty_poset,
+    _special,
     enumerate_family,
     extension_words,
     is_heap_forest,
@@ -31,6 +35,7 @@ from .poset_core import (
     is_special,
     is_special_plane,
     kappa,
+    max_degree,
     plane_version,
     restrict,
 )
@@ -132,32 +137,32 @@ def psi(P):
 # -- inverting theta on heap-ordered forests -------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _hof_theta_inverse(n):
-    """The heap-ordered forests of degree ``n`` keyed by their largest linear
-    extension, as ``(key, (forest, its other extensions))`` pairs in
-    decreasing key order.
-
-    Every other extension of a forest precedes its key, so in this order
-    theta is unitriangular on these forests.  The keys are distinct at every
-    degree checked (through 6); a collision raises.
+def _hof_of_word(word):
+    """The heap-ordered forest whose largest linear extension is ``word``:
+    each letter hangs under the nearest earlier smaller letter.  Once the
+    larger letters are popped, the stack holds exactly the new one's ancestors.
     """
-    table = {}
-    for F in enumerate_family("hof", n):
-        *rest, key = extension_words(F)
-        if key in table:
-            raise ValueError("theta is not invertible at this degree")
-        table[key] = (F, rest)
-    return sorted(table.items(), reverse=True)
+    up = [0] * len(word)
+    stack = []
+    for letter in word:
+        while stack and stack[-1] > letter:
+            stack.pop()
+        for a in stack:
+            up[a - 1] |= 1 << (letter - 1)
+        stack.append(letter)
+    return _special(len(word), up)
 
 
 def theta_hof_inverse(y):
     """Solve ``theta(result) == y`` with the result supported on heap-ordered
     forests, degree by degree, by back-substitution.
 
-    The largest permutation left in ``y`` is the largest linear extension of
-    exactly one heap-ordered forest, whose coefficient it fixes; subtracting
-    that forest's theta image only touches smaller permutations.
+    Each permutation is the largest linear extension of exactly one
+    heap-ordered forest, in which each letter hangs under the nearest earlier
+    smaller letter.  Walking the permutations in decreasing order, each one
+    left in the residual fixes its forest's coefficient; subtracting that
+    forest's theta image only touches smaller permutations.  This route
+    enumerates no forests.
     """
     out = []
     by_degree = {}
@@ -166,18 +171,18 @@ def theta_hof_inverse(y):
             raise ValueError("not a permutation basis element")
         by_degree.setdefault(sigma.n, {})[sigma.word] = coeff
     for n, residual in sorted(by_degree.items()):
-        if n == 0:
-            out += ((empty_poset(), coeff) for coeff in residual.values())
-            continue
-        for key, (F, rest) in _hof_theta_inverse(n):
-            coeff = residual.pop(key, 0)
+        if n and n > max_degree():  # the walk may visit all n! permutations
+            raise ValueError("degree too large")
+        for word in itertools.permutations(range(n, 0, -1)):
+            if not residual:
+                break
+            coeff = residual.pop(word, 0)
             if not coeff:
                 continue
+            F = _hof_of_word(word)
             out.append((F, coeff))
-            for word in rest:
-                residual[word] = residual.get(word, 0) - coeff
-        if any(residual.values()):
-            raise ValueError("not in the image of theta on heap-ordered forests")
+            for other in extension_words(F)[:-1]:
+                residual[other] = residual.get(other, 0) - coeff
     return LinComb(out)
 
 

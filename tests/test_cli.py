@@ -123,6 +123,22 @@ def test_degree_cap_must_be_an_integer(cli, monkeypatch):
     assert err == "error: DPOSET_MAX_DEGREE must be an integer, not 'abc'\n"
 
 
+def test_upsilon_refuses_a_degree_past_the_cap(cli, monkeypatch):
+    monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
+    code, out, err = cli("upsilon", "SP(7; 2<1, 3<4)")
+    assert code == 1
+    assert out == ""
+    assert err == "error: degree too large\n"
+
+
+def test_upsilon_reads_the_degree_cap_as_an_integer(cli, monkeypatch):
+    monkeypatch.setenv("DPOSET_MAX_DEGREE", "abc")
+    code, out, err = cli("upsilon", "SP(2; 2<1)")
+    assert code == 1
+    assert out == ""
+    assert err == "error: DPOSET_MAX_DEGREE must be an integer, not 'abc'\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -30,6 +30,7 @@ from dposet.poset_core import (
     extension_words,
     format_poset,
     iota,
+    is_heap_forest,
     parse_poset,
     reverse_rel2,
 )
@@ -208,15 +209,33 @@ def test_theta_hof_inverse_sections_theta_at_degree_six():
         assert theta_hof_inverse(theta(x)) == x
 
 
-def test_theta_hof_inverse_raises_when_keys_collide(monkeypatch):
-    forests = enumerate_family("hof", 3)
-    monkeypatch.setattr(morphisms, "enumerate_family", lambda family, n: forests + forests[:1])
-    morphisms._hof_theta_inverse.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="theta is not invertible"):
-            theta_hof_inverse(lc("123"))
-    finally:
-        morphisms._hof_theta_inverse.cache_clear()
+def test_the_bijection_matches_the_enumeration_keyed_table():
+    for n in range(1, 7):
+        table = {extension_words(F)[-1]: F for F in enumerate_family("hof", n)}
+        words = list(itertools.permutations(range(1, n + 1)))
+        assert sorted(table) == words
+        for sigma in words:
+            F = morphisms._hof_of_word(sigma)
+            assert F == table[sigma]
+            assert is_heap_forest(F)
+            assert extension_words(F)[-1] == sigma
+
+
+def test_theta_hof_inverse_on_degree_zero_and_mixed_degrees():
+    assert (
+        format_lincomb(theta_hof_inverse(lc("2*[] + 21 - 3*123 + 321")))
+        == "2*SP(0;) + SP(2;) - SP(2; 1<2) + SP(3;) - SP(3; 1<2)"
+        " - 2*SP(3; 1<2, 2<3) - SP(3; 2<3)"
+    )
+
+
+def test_upsilon_past_the_default_degree_cap(monkeypatch):
+    monkeypatch.setenv("DPOSET_MAX_DEGREE", "8")
+    x = lc("SP(8; 2<1, 4<3, 6<5, 8<7)")
+    result = upsilon(x)
+    assert len(result.support()) == 16
+    assert all(is_heap_forest(F) for F in result.support())
+    assert theta(result) == theta(x)
 
 
 def test_linear_extensions_wrap_the_extension_words():
