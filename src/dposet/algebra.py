@@ -235,7 +235,10 @@ def parse_scalar(text):
         if m.group("ibare") is not None:
             im_part += sign
         else:
-            num = Fraction(m.group("num").replace(" ", ""))
+            try:
+                num = Fraction(m.group("num").replace(" ", ""))
+            except ZeroDivisionError:
+                raise ValueError(f"bad scalar literal: {text!r}") from None
             if m.group("iunit"):
                 im_part += sign * num
             else:

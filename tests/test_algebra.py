@@ -1,6 +1,7 @@
 """Scalars, linear combinations, product, coproduct, pairing, antipode."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,12 @@ def test_scalar_literals_round_trip():
     for text in ("3", "-1/2", "1/2+3/4*I", "-2*I", "1-1*I", "0"):
         value = parse_scalar(text)
         assert parse_scalar(format_scalar(value)) == value
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "1/0I", "2 + 3/0*I", "(1/0)"])
+def test_zero_denominator_is_a_bad_scalar_literal(text):
+    with pytest.raises(ValueError, match=f"^bad scalar literal: {re.escape(repr(text))}$"):
+        parse_scalar(text)
 
 
 def test_division_by_zero_raises():

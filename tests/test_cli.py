@@ -116,6 +116,21 @@ def test_negative_bounds_are_domain_errors(cli, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, literal",
+    [
+        (("theta", "1/0*SP(1;)"), "1/0"),
+        (("pair", "SP(1;)", "0/0*SP(1;)"), "0/0"),
+        (("op", "product", "1/0I*SP(1;)", "SP(1;)"), "1/0I"),
+    ],
+)
+def test_zero_denominators_are_domain_errors(cli, argv, literal):
+    code, out, err = cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: bad scalar literal: {literal!r}\n"
+
+
 def test_degree_cap_must_be_an_integer(cli, monkeypatch):
     monkeypatch.setenv("DPOSET_MAX_DEGREE", "abc")
     code, out, err = cli("enumerate", "--family", "sp", "--degree", "3")

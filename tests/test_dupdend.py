@@ -1,17 +1,24 @@
 """Tests for the northwest-graft product, the split coproducts, the
 half-products on special plane forests, and the axiom suites."""
 
+from fractions import Fraction
+
 import pytest
 
+from dposet import dupdend
 from dposet.algebra import (
     LinComb,
+    _half_coproducts,
     format_lincomb,
     lc_product,
     parse_lincomb,
     reduced_coproduct,
+    tensor_of,
 )
 from dposet.dupdend import (
     AXIOM_SUITES,
+    _mix,
+    _span,
     check_axioms,
     prim_tot_basis,
     sp_dendriform_coproducts,
@@ -21,7 +28,7 @@ from dposet.dupdend import (
     spp_dendriform_coproducts,
 )
 from dposet.algebra import Tensor, coproduct
-from dposet.poset_core import enumerate_family, ideals, restrict
+from dposet.poset_core import compose, enumerate_family, ideals, nwarrow, restrict
 
 
 def lc(text):
@@ -223,9 +230,135 @@ def test_report_shape():
 
 @pytest.mark.parametrize(
     "suite, tuples",
-    [("duplicial", 282), ("codendriform", 186), ("dendriform-hopf", 134)],
+    [
+        ("duplicial", 282),
+        ("codendriform", 186),
+        ("dendriform-hopf", 134),
+        ("dupdend-compat", 2424),
+        ("lemma36-adjunction", 4468),
+        ("bidendriform", 268),
+    ],
 )
 def test_suites_pass_at_degree_five(suite, tuples):
     report = check_axioms(suite, max_degree=5)
     assert report["tuples_checked"] == tuples
     assert report["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "suite, tuples", [("dendriform-coalgebra", 825), ("theta-dupdend", 538)]
+)
+def test_suites_pass_at_degree_four(suite, tuples):
+    report = check_axioms(suite, max_degree=4)
+    assert report["tuples_checked"] == tuples
+    assert report["violations"] == []
+
+
+# -- planted faults: a wrong operation under test must show as violations ----------
+
+
+def _swapped_nwarrow(x, y):
+    return sp_nwarrow(y, x)
+
+
+def _swapped_prec(x, y):
+    return spf_prec(y, x)
+
+
+def _split_losing_two_vertex_cuts(x, least=False):
+    """The split with every prec cut whose left factor has two vertices dropped."""
+    prec, succ = _half_coproducts(x, least)
+    return LinComb((T, c) for T, c in prec.items() if T.factors[0].n != 2), succ
+
+
+FAULTS = {
+    "swapped-nwarrow": ("sp_nwarrow", _swapped_nwarrow),
+    "swapped-prec": ("spf_prec", _swapped_prec),
+    "lossy-split": ("_half_coproducts", _split_losing_two_vertex_cuts),
+}
+
+
+# (suite, fault) -> axioms that must report violations at degree 3
+PLANTED = {
+    ("dupdend-compat", "swapped-nwarrow"): {"nwarrow-succ"},
+    ("dupdend-compat", "lossy-split"): {"product-prec", "nwarrow-prec"},
+    ("codendriform", "lossy-split"): {"coproduct-prec-of-product"},
+    ("dendriform-coalgebra", "lossy-split"): {
+        "sp:coassociativity-prec",
+        "sp:coassociativity-mixed",
+        "spp:coassociativity-prec",
+    },
+    ("lemma36-adjunction", "swapped-prec"): {"prec-adjunction", "succ-adjunction"},
+    ("lemma36-adjunction", "lossy-split"): {"prec-adjunction"},
+    ("dendriform-hopf", "swapped-prec"): {"reduced-coproduct-of-prec"},
+    ("bidendriform", "swapped-prec"): {"prec-of-prec", "succ-of-succ"},
+}
+
+
+@pytest.mark.parametrize("suite, fault", list(PLANTED))
+def test_a_planted_fault_is_reported(monkeypatch, suite, fault):
+    monkeypatch.setattr(dupdend, *FAULTS[fault])
+    report = check_axioms(suite, max_degree=3)
+    assert PLANTED[suite, fault] <= {v["axiom"] for v in report["violations"]}
+
+
+# -- tensor assembly ---------------------------------------------------------------
+
+
+def _span_by_tensor_of(tens, left, right):
+    """Reference: each term's tensor built by ``tensor_of``."""
+    return LinComb(
+        (K, c * d)
+        for T, c in tens.items()
+        for K, d in tensor_of(left(T.factors[0]), right(T.factors[1])).items()
+    )
+
+
+def _mix_by_tensor_of(tx, ty, left, right):
+    """Reference: each pair of terms' tensor built by ``tensor_of``."""
+    return LinComb(
+        (K, c * d * e)
+        for Tx, c in tx.items()
+        for Ty, d in ty.items()
+        for K, e in tensor_of(
+            left(Tx.factors[0], Ty.factors[0]), right(Tx.factors[1], Ty.factors[1])
+        ).items()
+    )
+
+
+def test_span_and_mix_match_the_tensor_of_route():
+    Q = enumerate_family("sp", 2)[1]
+    unary = [
+        lambda a: a,
+        lambda a: compose(Q, a),
+        lambda a: nwarrow(a, Q),
+        lambda a: sp_nwarrow(a, Q),
+        lambda a: LinComb.basis(a, 2) - LinComb.basis(compose(a, a), Fraction(1, 3)),
+        lambda a: LinComb.basis(a) - LinComb.basis(a),
+    ]
+    binary = [
+        lambda a, u: compose(a, u),
+        lambda a, u: sp_nwarrow(a, u) - LinComb.basis(compose(u, a), 3),
+    ]
+    basis = enumerate_family("sp", 3) + enumerate_family("sp", 4)[::5]
+    x = LinComb((P, k - 2) for k, P in enumerate(basis))
+    tx = reduced_coproduct(x)
+    ty = sp_dendriform_coproducts(x)[1]
+    assert tx and ty
+    for left in unary:
+        for right in unary:
+            assert _span(tx, left, right) == _span_by_tensor_of(tx, left, right)
+    for left in binary:
+        for right in binary:
+            assert _mix(tx, ty, left, right) == _mix_by_tensor_of(tx, ty, left, right)
+
+
+def test_half_product_caches_keep_every_entry_of_the_degree_five_suites():
+    caches = (dupdend._prec_basis, dupdend._first_tree_size)
+    for cache in caches:
+        cache.cache_clear()
+    for suite in ("dendriform-hopf", "bidendriform", "lemma36-adjunction"):
+        check_axioms(suite, max_degree=5)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize == info.misses < info.maxsize, info

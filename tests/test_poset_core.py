@@ -1,5 +1,7 @@
 """Construction, literals, families, and structural maps of double posets."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -213,12 +215,31 @@ def _small_posets():
     return enumerate_family("dp", 3) + enumerate_family("sp", 5)
 
 
+def _large_posets():
+    """Degree-7 and degree-8 double posets past the default degree cap: a
+    chain under the natural order, an antichain, and two seeded random ones."""
+    rng = random.Random(7)
+    posets = [DoublePoset(8, [(v, v + 1) for v in range(1, 8)], [(v, v + 1) for v in range(1, 8)])]
+    posets.append(DoublePoset(7))
+    for n in (7, 8):
+        below = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        perm = rng.sample(range(1, n + 1), n)
+        pairs1 = [(perm[a - 1], perm[b - 1]) for a, b in below if rng.random() < 0.3]
+        pairs2 = [(a, b) for a, b in below if rng.random() < 0.3]
+        posets.append(DoublePoset(n, pairs1, pairs2))
+    return posets
+
+
 def test_mask_restrict_matches_the_label_dict_restrict():
-    for P in _small_posets():
+    for P in _small_posets() + _large_posets():
         for keep in range(1 << P.n):
             labels = [v + 1 for v in range(P.n) if (keep >> v) & 1]
             got, want = restrict(P, labels), restrict_by_labels(P, labels)
             assert got == want and type(got) is type(want), (P, labels)
+
+
+def test_packing_cache_holds_every_keep_through_degree_eight():
+    assert poset_core._packing.cache_info().maxsize >= (1 << 8) - 1
 
 
 def test_mask_ideals_match_the_subset_filter():
