@@ -18,7 +18,7 @@
   tuples up to a degree bound, reported as exact-equality violation lists.
 """
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .algebra import (
     LinComb,
@@ -296,8 +296,7 @@ def _check_duplicial(max_degree, violations):
 
 def _coalgebra_cases(P, delta_pair):
     prec, succ = delta_pair(LinComb.basis(P))
-    halves = {}  # each factor's split, made once for d_prec and d_succ
-    split = lambda a: halves.get(a) or halves.setdefault(a, delta_pair(a))
+    split = cache(delta_pair)
     d_prec = lambda a: split(a)[0]
     d_succ = lambda a: split(a)[1]
     return (

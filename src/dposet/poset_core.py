@@ -477,30 +477,27 @@ def restrict(P, labels):
     return _restrict(P, sum(1 << (a - 1) for a in labels))
 
 
-@lru_cache(maxsize=256)
-def _packing(keep):
-    """The kept vertices of the bitmask ``keep`` and a table whose entry
-    ``m``, for each ``m`` inside ``keep``, is ``m`` with its bits packed down
-    to the low end in order.  The table holds ``keep + 1`` small ints, 8 bytes
-    a slot: an entry takes at most 2.2 KB through degree 8, where the 256
-    entries hold every keep (0.31 MB in all).  A keep of degree n takes up to
-    8·2ⁿ bytes."""
-    table = [0] * (keep + 1)
-    m = 0
-    while m != keep:
-        m = (m - keep) & keep  # the next subset of keep
-        low = m & -m
-        table[m] = table[m ^ low] | 1 << (keep & (low - 1)).bit_count()
-    return tuple(_bits(keep)), tuple(table)
-
-
 def _restrict(P, keep):
     """:func:`restrict` to the labels of the bitmask ``keep``: each kept
-    vertex's masks, cut to ``keep``, are packed down by one table lookup."""
-    kept, table = _packing(keep)
-    return DoublePoset._from_masks(
-        len(kept), [table[P.up1[v] & keep] for v in kept], [table[P.up2[v] & keep] for v in kept]
-    )
+    vertex's masks, cut to ``keep``, are packed down to the kept bits."""
+    kept = list(_bits(keep))
+    packed = [0] * P.n  # the bit each kept vertex takes after packing
+    for j, v in enumerate(kept):
+        packed[v] = 1 << j
+
+    def project(up):
+        rows = []
+        for v in kept:
+            m = up[v] & keep
+            row = 0
+            while m:
+                low = m & -m
+                row |= packed[low.bit_length() - 1]
+                m ^= low
+            rows.append(row)
+        return rows
+
+    return DoublePoset._from_masks(len(kept), project(P.up1), project(P.up2))
 
 
 def iota(P):

@@ -253,6 +253,14 @@ def test_phi_psi_bruhat(cli):
     assert (code, out.strip()) == (0, "false")
 
 
+def test_psi_on_a_long_chain_literal(cli):
+    # psi restricts to nearly every label; its cost must follow the degree, not 2^degree.
+    n = 64
+    chain = ", ".join(f"{a}<{a + 1}" for a in range(1, n))
+    code, out, err = cli("psi", f"SP({n}; {chain})")
+    assert (code, out.strip(), err) == (0, "[" + ",".join(map(str, range(1, n + 1))) + "]", "")
+
+
 def test_decorations_row(cli):
     code, out, err = cli("decorations", "--family", "hof")
     assert (code, out.strip()) == (0, "0 1 0 1 6 39")

@@ -238,8 +238,13 @@ def test_mask_restrict_matches_the_label_dict_restrict():
             assert got == want and type(got) is type(want), (P, labels)
 
 
-def test_packing_cache_holds_every_keep_through_degree_eight():
-    assert poset_core._packing.cache_info().maxsize >= (1 << 8) - 1
+def test_restrict_to_high_labels_costs_no_more_than_the_kept_vertices():
+    # Labels past the degree cap are legal; a per-label table would need 2^64 slots here.
+    n = 64
+    chain = DoublePoset(n, [(a, a + 1) for a in range(1, n)], [(a, a + 1) for a in range(1, n)])
+    four = DoublePoset(4, [(1, 2), (2, 3), (3, 4)], [(1, 2), (2, 3), (3, 4)])
+    assert restrict(chain, range(n - 3, n + 1)) == four
+    assert restrict(chain, [1, n]) == DoublePoset(2, [(1, 2)], [(1, 2)])
 
 
 def test_mask_ideals_match_the_subset_filter():
