@@ -262,36 +262,18 @@ def _mix(tx, ty, left, right):
     )
 
 
-def _record(violations, axiom, elements, expected, got):
-    def show(value):
-        if isinstance(value, LinComb):
-            return format_lincomb(value)
-        return str(value)
-
-    violations.append(
-        {
-            "axiom": axiom,
-            "elements": [e.literal() for e in elements],
-            "expected": show(expected),
-            "got": show(got),
-        }
-    )
+# Each ``_check_*`` suite yields ``(elements, cases)`` per basis tuple, every
+# case an ``(axiom, lhs, rhs)`` whose sides must be equal.
 
 
-def _check_duplicial(max_degree, violations):
-    checked = 0
+def _check_duplicial(max_degree):
     for P, Q, R in _triples("sp", max_degree):
         x, y, z = LinComb.basis(P), LinComb.basis(Q), LinComb.basis(R)
-        cases = (
+        yield (P, Q, R), (
             ("associativity", (x * y) * z, x * (y * z)),
             ("nwarrow-associativity", sp_nwarrow(sp_nwarrow(x, y), z), sp_nwarrow(x, sp_nwarrow(y, z))),
             ("product-nwarrow", sp_nwarrow(x * y, z), x * sp_nwarrow(y, z)),
         )
-        for name, lhs, rhs in cases:
-            checked += 1
-            if lhs != rhs:
-                _record(violations, name, (P, Q, R), rhs, lhs)
-    return checked
 
 
 def _coalgebra_cases(P, delta_pair):
@@ -306,8 +288,7 @@ def _coalgebra_cases(P, delta_pair):
     )
 
 
-def _check_dendriform_coalgebra(max_degree, violations):
-    checked = 0
+def _check_dendriform_coalgebra(max_degree):
     homes = (
         ("sp", sp_dendriform_coproducts),
         ("spp", spp_dendriform_coproducts),
@@ -315,15 +296,11 @@ def _check_dendriform_coalgebra(max_degree, violations):
     for family, delta_pair in homes:
         for n in range(1, max_degree + 1):
             for P in enumerate_family(family, n):
-                for name, lhs, rhs in _coalgebra_cases(P, delta_pair):
-                    checked += 1
-                    if lhs != rhs:
-                        _record(violations, f"{family}:{name}", (P,), rhs, lhs)
-    return checked
+                cases = _coalgebra_cases(P, delta_pair)
+                yield (P,), ((f"{family}:{name}", lhs, rhs) for name, lhs, rhs in cases)
 
 
-def _check_dupdend_compat(max_degree, violations):
-    checked = 0
+def _check_dupdend_compat(max_degree):
     for P, Q in _pairs("sp", max_degree):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         dx = reduced_coproduct(x)
@@ -331,7 +308,7 @@ def _check_dupdend_compat(max_degree, violations):
         py, sy = sp_dendriform_coproducts(y)
         product_prec, product_succ = sp_dendriform_coproducts(x * y)
         nwarrow_prec, nwarrow_succ = sp_dendriform_coproducts(sp_nwarrow(x, y))
-        cases = (
+        yield (P, Q), (
             (
                 "product-prec",
                 product_prec,
@@ -367,21 +344,15 @@ def _check_dupdend_compat(max_degree, violations):
                 + _mix(px, sy, lambda a, u: nwarrow(a, u), lambda b, v: compose(b, v)),
             ),
         )
-        for name, lhs, rhs in cases:
-            checked += 1
-            if lhs != rhs:
-                _record(violations, name, (P, Q), rhs, lhs)
-    return checked
 
 
-def _check_codendriform(max_degree, violations):
-    checked = 0
+def _check_codendriform(max_degree):
     for P, Q in _pairs("spp", max_degree):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         dy = reduced_coproduct(y)
         px, sx = spp_dendriform_coproducts(x)
         product_prec, product_succ = spp_dendriform_coproducts(x * y)
-        cases = (
+        yield (P, Q), (
             (
                 "coproduct-prec-of-product",
                 product_prec,
@@ -401,20 +372,14 @@ def _check_codendriform(max_degree, violations):
                 + _mix(sx, dy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
             ),
         )
-        for name, lhs, rhs in cases:
-            checked += 1
-            if lhs != rhs:
-                _record(violations, name, (P, Q), rhs, lhs)
-    return checked
 
 
-def _check_dendriform_hopf(max_degree, violations):
-    checked = 0
+def _check_dendriform_hopf(max_degree):
     for P, Q in _pairs("spf", max_degree):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         dx = reduced_coproduct(x)
         dy = reduced_coproduct(y)
-        cases = (
+        yield (P, Q), (
             (
                 "reduced-coproduct-of-prec",
                 reduced_coproduct(spf_prec(x, y)),
@@ -434,22 +399,16 @@ def _check_dendriform_hopf(max_degree, violations):
                 + _mix(dx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
             ),
         )
-        for name, lhs, rhs in cases:
-            checked += 1
-            if lhs != rhs:
-                _record(violations, name, (P, Q), rhs, lhs)
-    return checked
 
 
-def _check_bidendriform(max_degree, violations):
-    checked = 0
+def _check_bidendriform(max_degree):
     for P, Q in _pairs("spf", max_degree):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         dy = reduced_coproduct(y)
         px, sx = spp_dendriform_coproducts(x)
         lhs_pp, lhs_sp = spp_dendriform_coproducts(spf_prec(x, y))
         lhs_ps, lhs_ss = spp_dendriform_coproducts(spf_succ(x, y))
-        cases = (
+        yield (P, Q), (
             (
                 "prec-of-prec",
                 lhs_pp,
@@ -482,15 +441,9 @@ def _check_bidendriform(max_degree, violations):
                 + _mix(sx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
             ),
         )
-        for name, lhs, rhs in cases:
-            checked += 1
-            if lhs != rhs:
-                _record(violations, name, (P, Q), rhs, lhs)
-    return checked
 
 
-def _check_lemma36(max_degree, violations):
-    checked = 0
+def _check_lemma36(max_degree):
     grades = _graded("spf", max_degree)
     halves = {R: spp_dendriform_coproducts(R) for n in grades if n > 1 for R in grades[n]}
     for a in range(1, max_degree):
@@ -503,44 +456,29 @@ def _check_lemma36(max_degree, violations):
                     for R in grades[a + b]:
                         z = LinComb.basis(R)
                         pz, sz = halves[R]
-                        cases = (
+                        yield (P, Q, R), (
                             ("prec-adjunction", pairing(prec, z), pairing(xy, pz)),
                             ("succ-adjunction", pairing(succ, z), pairing(xy, sz)),
                         )
-                        for name, lhs, rhs in cases:
-                            checked += 1
-                            if lhs != rhs:
-                                _record(violations, name, (P, Q, R), rhs, lhs)
-    return checked
 
 
 def _push_theta(tens):
     return apply_slot(apply_slot(tens, 0, theta), 1, theta)
 
 
-def _check_theta_dupdend(max_degree, violations):
-    checked = 0
+def _check_theta_dupdend(max_degree):
     for P, Q in _pairs("sp", max_degree):
         x, y = LinComb.basis(P), LinComb.basis(Q)
-        checked += 1
-        lhs = theta(sp_nwarrow(x, y))
-        rhs = fq_nwarrow(theta(x), theta(y))
-        if lhs != rhs:
-            _record(violations, "theta-nwarrow", (P, Q), rhs, lhs)
+        yield (P, Q), (("theta-nwarrow", theta(sp_nwarrow(x, y)), fq_nwarrow(theta(x), theta(y))),)
     for n in range(1, max_degree + 1):
         for P in enumerate_family("sp", n):
             x = LinComb.basis(P)
             prec, succ = sp_dendriform_coproducts(x)
             fq_prec, fq_succ = fq_dendriform_coproducts(theta(x))
-            cases = (
+            yield (P,), (
                 ("theta-coproduct-prec", _push_theta(prec), fq_prec),
                 ("theta-coproduct-succ", _push_theta(succ), fq_succ),
             )
-            for name, lhs, rhs in cases:
-                checked += 1
-                if lhs != rhs:
-                    _record(violations, name, (P,), rhs, lhs)
-    return checked
 
 
 _SUITE_RUNNERS = {
@@ -564,8 +502,23 @@ def check_axioms(suite, max_degree=4):
     max_degree = int(max_degree)
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
+    def show(value):
+        return format_lincomb(value) if isinstance(value, LinComb) else str(value)
+
     violations = []
-    checked = _SUITE_RUNNERS[suite](max_degree, violations)
+    checked = 0
+    for elements, cases in _SUITE_RUNNERS[suite](max_degree):
+        for axiom, lhs, rhs in cases:
+            checked += 1
+            if lhs != rhs:
+                violations.append(
+                    {
+                        "axiom": axiom,
+                        "elements": [e.literal() for e in elements],
+                        "expected": show(rhs),
+                        "got": show(lhs),
+                    }
+                )
     return {
         "suite": suite,
         "degree": max_degree,

@@ -6,12 +6,15 @@ entries; every computation here is exact.  The module provides three layers:
 * generic kernels, determinants, inverses, and products over the scalar
   field (:func:`rank_kernel`, :func:`det`, :func:`mat_inverse`, ...);
   :func:`mat_mul` scales every row and column to integers over a common
-  denominator and multiplies with integer dot products, and
-  :func:`rank_kernel` scales every row the same way and eliminates
-  fraction-free (Bareiss), dividing only once at the end;
+  denominator and multiplies with integer dot products.  There is one
+  elimination, :func:`_eliminate`: it scales every row the same way and
+  runs fraction-free Gauss-Jordan (Bareiss); the kernel, the determinant
+  and the inverse are read off its result with one division each;
 * integer congruence: a symmetric unimodular matrix is block-diagonalized by
   a certified unimodular change of basis into blocks ``(1)``, ``(-1)``, and
-  the hyperbolic plane ``[[0, 1], [1, 0]]`` (:func:`congruence_diagonalize`);
+  the hyperbolic plane ``[[0, 1], [1, 0]]`` (:func:`congruence_diagonalize`,
+  which inverts nothing; a determinant only names a failure, or refuses a
+  form before the slow part of the search);
 * graded isometries between the plane and special-plane Hopf algebras: over
   the Gaussian rationals every certified block becomes the identity, so any
   two same-size symmetric unimodular matrices are isometric
@@ -33,8 +36,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import cache, lru_cache
+from math import gcd, lcm, prod
 from operator import floordiv, mul, truediv
 
 from .algebra import (
@@ -147,43 +150,17 @@ def mat_mul(A, B):
     return out
 
 
-def mat_inverse(A):
-    """Exact inverse by Gauss-Jordan elimination."""
-    rows = _square(A)
-    n = len(rows)
-    aug = [row + [normalize_scalar(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if aug[i][c]), None)
-        if p is None:
-            raise ValueError("matrix not invertible")
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [[normalize_scalar(x) for x in row[n:]] for row in aug]
+def _eliminate(A, columns):
+    """Fraction-free Gauss-Jordan elimination on the first ``columns`` columns.
 
-
-def rank_kernel(A):
-    """Exact rank and kernel basis of a matrix.
-
-    Returns ``(rank, kernel)`` where each kernel vector carries a leading 1
-    in its free coordinate; vectors are listed by increasing free column, and
-    read off the reduced row echelon form.
-
-    Each row is scaled to integral (or Gaussian-integral) entries and
-    eliminated fraction-free, Gauss-Jordan style: the update ``(p*x - f*y) /
-    prev`` by the previous pivot is an exact ring division (Bareiss), and it
-    leaves every pivot entry equal to the last pivot ``d``.  The reduced row
-    echelon form is the result divided by ``d``, done once per kernel entry.
+    Each row is scaled to integral (or Gaussian-integral) entries; the update
+    ``(p*x - f*y) / prev`` by the previous pivot is an exact ring division
+    (Bareiss), and it leaves every pivot entry equal to the last pivot ``d``,
+    a minor of the scaled, row-swapped matrix.  Returns ``(M, pivots, d,
+    sign, scale)``: the eliminated rows, their pivot columns, ``d`` as a
+    ``Fraction`` or ``GaussRat``, the sign of the row swaps, and the product
+    of the row denominators.
     """
-    width = len(A[0]) if A else 0
-    if any(len(row) != width for row in A):
-        raise ValueError("ragged matrix")
-    if not width:
-        return 0, []
     vectors = _integer_vectors(A)
     real = all(im is None for _, _, im in vectors)
     if real:
@@ -194,17 +171,20 @@ def rank_kernel(A):
             for _, re, im in vectors
         ]
     divide = floordiv if real else truediv
-    m, n = len(M), len(M[0])
+    m = len(M)
     pivots = []
     prev = 1
-    for c in range(n):
+    sign = 1
+    for c in range(columns):
         r = len(pivots)
         if r == m:
             break
         p = next((i for i in range(r, m) if M[i][c]), None)
         if p is None:
             continue
-        M[r], M[p] = M[p], M[r]
+        if p != r:
+            M[r], M[p] = M[p], M[r]
+            sign = -sign
         top = M[r]
         piv = top[c]
         for i, row in enumerate(M):
@@ -221,14 +201,29 @@ def rank_kernel(A):
             M[i] = row[:start] + new
         pivots.append(c)
         prev = piv
-    d = Fraction(prev) if real else prev
+    scale = prod(d for d, _, _ in vectors)
+    return M, pivots, Fraction(prev) if real else prev, sign, scale
+
+
+def rank_kernel(A):
+    """Exact rank and kernel basis of a matrix.
+
+    Returns ``(rank, kernel)`` where each kernel vector carries a leading 1
+    in its free coordinate; vectors are listed by increasing free column, and
+    read off the reduced row echelon form: the result of :func:`_eliminate`
+    divided by its last pivot, done once per kernel entry.
+    """
+    width = len(A[0]) if A else 0
+    if any(len(row) != width for row in A):
+        raise ValueError("ragged matrix")
+    M, pivots, d, _, _ = _eliminate(A, width)
     pivot_set = set(pivots)
     kernel = []
     zero, one = normalize_scalar(0), normalize_scalar(1)
-    for free in range(n):
+    for free in range(width):
         if free in pivot_set:
             continue
-        v = [zero] * n
+        v = [zero] * width
         v[free] = one
         for idx, pc in enumerate(pivots):
             v[pc] = normalize_scalar(-M[idx][free] / d)
@@ -243,44 +238,26 @@ def _is_integral(x):
 
 
 def det(A):
-    """Exact determinant: fraction-free Bareiss for integer matrices, plain
-    Gaussian elimination otherwise."""
+    """Exact determinant, the last pivot of :func:`_eliminate` over the row
+    scaling; an ``int`` for an integer matrix."""
+    rows = _square(A)
+    _, pivots, d, sign, scale = _eliminate(rows, len(rows))
+    value = sign * d / scale if len(pivots) == len(rows) else 0
+    if all(_is_integral(x) for row in rows for x in row):
+        return int(value)
+    return normalize_scalar(value)
+
+
+def mat_inverse(A):
+    """Exact inverse: :func:`_eliminate` takes ``[A | I]`` to ``[d*I | d*A^-1]``
+    for its last pivot ``d``."""
     rows = _square(A)
     n = len(rows)
-    if n == 0:
-        return 1
-    if all(_is_integral(x) for row in rows for x in row):
-        M = [[int(x) for x in row] for row in rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if M[k][k] == 0:
-                p = next((i for i in range(k + 1, n) if M[i][k]), None)
-                if p is None:
-                    return 0
-                M[k], M[p] = M[p], M[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-                M[i][k] = 0
-            prev = M[k][k]
-        return sign * M[n - 1][n - 1]
-    value = normalize_scalar(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c]), None)
-        if p is None:
-            return normalize_scalar(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            value = -value
-        value = normalize_scalar(value * rows[c][c])
-        inv = rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return value
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    M, pivots, d, _, _ = _eliminate(aug, n)
+    if len(pivots) < n:
+        raise ValueError("matrix not invertible")
+    return [[normalize_scalar(x / d) for x in row[n:]] for row in M]
 
 
 # -- integer congruence diagonalization ----------------------------------------
@@ -315,16 +292,15 @@ class CongruenceCertificate:
         }
 
 
-def _block_matrix_of(blocks):
-    size = sum(len(BLOCK_SHAPES[b]) for b in blocks)
+def _block_diagonal(blocks, shapes):
+    """The block-diagonal matrix of ``shapes[b]`` for each ``b`` in ``blocks``."""
+    size = sum(len(shapes[b]) for b in blocks)
     out = [[0] * size for _ in range(size)]
     k = 0
     for b in blocks:
-        shape = BLOCK_SHAPES[b]
-        for i, row in enumerate(shape):
-            for j, x in enumerate(row):
-                out[k + i][k + j] = x
-        k += len(shape)
+        for i, row in enumerate(shapes[b]):
+            out[k + i][k : k + len(row)] = row
+        k += len(shapes[b])
     return out
 
 
@@ -349,18 +325,24 @@ def _int_symmetric(A):
 
 
 def _complete_unimodular(v):
-    """A unimodular integer matrix whose first row is the primitive vector ``v``."""
+    """A unimodular integer matrix whose first row is the primitive vector ``v``.
+
+    Integer row operations ``W`` reduce ``col = W @ v`` to ``e1``, so ``v`` is
+    the first row of ``R = (W^-1).T``.  ``R`` is carried in step: an
+    operation ``E`` on the rows of ``W`` acts on ``R`` as ``E^-T``, which
+    for ``R_i += t R_j`` is ``R_j -= t R_i`` and fixes swaps and sign flips.
+    """
     m = len(v)
-    W = identity_matrix(m)
+    R = identity_matrix(m)
     col = list(v)
 
     def add(i, j, t):
         col[i] += t * col[j]
-        W[i] = [a + t * b for a, b in zip(W[i], W[j])]
+        R[j] = [a - t * b for a, b in zip(R[j], R[i])]
 
     def swap(i, j):
         col[i], col[j] = col[j], col[i]
-        W[i], W[j] = W[j], W[i]
+        R[i], R[j] = R[j], R[i]
 
     for i in range(1, m):
         while col[i]:
@@ -374,13 +356,10 @@ def _complete_unimodular(v):
                 swap(0, i)
     if col[0] < 0:
         col[0] = -col[0]
-        W[0] = [-a for a in W[0]]
+        R[0] = [-a for a in R[0]]
     if col[0] != 1:
         raise ValueError("vector not primitive")
-    # W @ v == e1, so v is the first column of W^-1 and the first row of its
-    # transpose; the inverse of a unimodular matrix is integer.
-    inv = mat_inverse(W)
-    return [[int(x) for x in row] for row in mat_transpose(inv)]
+    return R
 
 
 def _short_unit_vector(M, k, fuel):
@@ -430,14 +409,30 @@ def congruence_diagonalize(A):
     symmetric"), ValueError("matrix not unimodular"), or ValueError("no
     unimodular block diagonalization found") when the search gives out (for
     instance on even definite forms, which admit no such blocks).
+
+    A success takes no determinant: ``T`` is a product of unimodular steps
+    and ``T @ A @ T.T`` is checked to be the blocks, so ``|det A| == 1``.
+    ``det`` names a failure, and is also taken before the first
+    shrink-and-hunt step: those O(m^4) steps would otherwise spend the whole
+    fuel budget on a form that is not unimodular.
     """
     A0 = _int_symmetric(A)
     n = len(A0)
-    if det(A0) not in (1, -1):
-        raise ValueError("matrix not unimodular")
     M = [row[:] for row in A0]
     T = identity_matrix(n)
     fuel = CONGRUENCE_FUEL
+    unimodular = cache(lambda: det(A0) in (1, -1))
+
+    def fail():
+        if unimodular():
+            raise ValueError("no unimodular block diagonalization found")
+        raise ValueError("matrix not unimodular")
+
+    def spend():
+        nonlocal fuel
+        fuel -= 1
+        if fuel <= 0:
+            fail()
 
     def radd(i, j, t):
         # symmetric row-and-column operation R_i += t R_j
@@ -478,9 +473,7 @@ def congruence_diagonalize(A):
     blocks = []
     k = 0
     while k < n:
-        fuel -= 1
-        if fuel <= 0:
-            raise ValueError("no unimodular block diagonalization found")
+        spend()
         unit = next((i for i in range(k, n) if abs(M[i][i]) == 1), None)
         if unit is not None:
             if unit != k:
@@ -498,12 +491,10 @@ def congruence_diagonalize(A):
                 rswap(k, zero)
             # reduce the subcolumn below the zero diagonal entry to a unit
             while True:
-                fuel -= 1
-                if fuel <= 0:
-                    raise ValueError("no unimodular block diagonalization found")
+                spend()
                 nz = [j for j in range(k + 1, n) if M[j][k]]
                 if not nz:
-                    raise ValueError("no unimodular block diagonalization found")
+                    fail()
                 jmin = min(nz, key=lambda j: abs(M[j][k]))
                 if abs(M[jmin][k]) == 1:
                     break
@@ -516,7 +507,7 @@ def congruence_diagonalize(A):
                         radd(j, jmin, -q)
                         progress = True
                 if not progress:
-                    raise ValueError("no unimodular block diagonalization found")
+                    fail()
             if jmin != k + 1:
                 rswap(k + 1, jmin)
             if M[k + 1][k] == -1:
@@ -541,14 +532,15 @@ def congruence_diagonalize(A):
         # every trailing diagonal entry has absolute value >= 2: shrink the
         # block, then hunt for a short primitive vector of unit or zero
         # self-product
+        if not unimodular():
+            fail()
+
         def active_size():
             return sum(M[i][j] * M[i][j] for i in range(k, n) for j in range(k, n))
 
         reduced = False
         while True:
-            fuel -= 1
-            if fuel <= 0:
-                raise ValueError("no unimodular block diagonalization found")
+            spend()
             best = None
             size = active_size()
             for i in range(k, n):
@@ -586,9 +578,9 @@ def congruence_diagonalize(A):
             continue
         v, fuel = _short_unit_vector(M, k, fuel)
         if v is None:
-            raise ValueError("no unimodular block diagonalization found")
+            fail()
         apply_block(k, _complete_unimodular(v))
-    B = _block_matrix_of(blocks)
+    B = _block_diagonal(blocks, BLOCK_SHAPES)
     if mat_mul(mat_mul(T, A0), mat_transpose(T)) != B or M != B:
         raise AssertionError("congruence bookkeeping failed")
     return CongruenceCertificate(
@@ -606,25 +598,12 @@ _HYPERBOLIC_TO_IDENTITY = (
     (GaussRat(0, -1), Fraction(1)),
 )
 
+# per block, W with W.T @ block @ W == identity
 _BLOCK_UNITS = {
     "plus_one": ((Fraction(1),),),
     "minus_one": ((GaussRat(0, 1),),),
     "hyperbolic": _HYPERBOLIC_TO_IDENTITY,
 }
-
-
-def _block_unit_transform(blocks):
-    """Block diagonal W with W.T @ block_matrix @ W == identity."""
-    size = sum(len(_BLOCK_UNITS[b]) for b in blocks)
-    out = [[normalize_scalar(0)] * size for _ in range(size)]
-    k = 0
-    for b in blocks:
-        shape = _BLOCK_UNITS[b]
-        for i, row in enumerate(shape):
-            for j, x in enumerate(row):
-                out[k + i][k + j] = normalize_scalar(x)
-        k += len(shape)
-    return out
 
 
 def build_isometry(A, B):
@@ -642,8 +621,8 @@ def build_isometry(A, B):
     ca = congruence_diagonalize(A)
     cb = congruence_diagonalize(B)
     B0 = [list(r) for r in cb.matrix]
-    va = mat_mul(mat_transpose(ca.transform), _block_unit_transform(ca.blocks))
-    vb = mat_mul(mat_transpose(cb.transform), _block_unit_transform(cb.blocks))
+    va = mat_mul(mat_transpose(ca.transform), _block_diagonal(ca.blocks, _BLOCK_UNITS))
+    vb = mat_mul(mat_transpose(cb.transform), _block_diagonal(cb.blocks, _BLOCK_UNITS))
     S = mat_mul(va, mat_mul(mat_transpose(vb), B0))
     if mat_mul(mat_mul(mat_transpose(S), ca.matrix), S) != B0:
         raise AssertionError("isometry certificate failed")
@@ -687,11 +666,7 @@ class GradedMapSpec:
 
     def __call__(self, x):
         """Linear extension of :meth:`image` to combinations."""
-        return LinComb(
-            (k, coeff * c)
-            for key, coeff in as_lincomb(x).items()
-            for k, c in self.image(key).items()
-        )
+        return as_lincomb(x).apply(self.image)
 
 
 def verify_graded_isometry(spec, max_degree):
@@ -711,6 +686,21 @@ def verify_graded_isometry(spec, max_degree):
             raise ValueError(f"missing degree block: {n}")
     violations = []
     checks = 0
+
+    def check(kind, degree, elements, got, expected, show=format_lincomb):
+        nonlocal checks
+        checks += 1
+        if got != expected:
+            violations.append(
+                {
+                    "check": kind,
+                    "degree": degree,
+                    "elements": [e.literal() for e in elements],
+                    "expected": show(expected),
+                    "got": show(got),
+                }
+            )
+
     for a in range(1, max_degree):
         for b in range(1, max_degree - a + 1):
             src_a, _ = _family_basis(spec.source, a)
@@ -719,17 +709,7 @@ def verify_graded_isometry(spec, max_degree):
                 for Q in src_b:
                     left = spec.image(compose(P, Q))
                     right = lc_product(spec.image(P), spec.image(Q))
-                    checks += 1
-                    if left != right:
-                        violations.append(
-                            {
-                                "check": "product",
-                                "degree": [a, b],
-                                "elements": [P.literal(), Q.literal()],
-                                "expected": format_lincomb(right),
-                                "got": format_lincomb(left),
-                            }
-                        )
+                    check("product", [a, b], (P, Q), left, right)
     for n in range(1, max_degree + 1):
         src, _ = _family_basis(spec.source, n)
         for P in src:
@@ -737,34 +717,14 @@ def verify_graded_isometry(spec, max_degree):
             right = apply_slot(
                 apply_slot(reduced_coproduct(LinComb.basis(P)), 0, spec.image), 1, spec.image
             )
-            checks += 1
-            if left != right:
-                violations.append(
-                    {
-                        "check": "coproduct",
-                        "degree": n,
-                        "elements": [P.literal()],
-                        "expected": format_lincomb(right),
-                        "got": format_lincomb(left),
-                    }
-                )
+            check("coproduct", n, (P,), left, right)
     for n in range(1, max_degree + 1):
         src, _ = _family_basis(spec.source, n)
         for i, P in enumerate(src):
             for Q in src[i:]:
                 lhs = pairing(spec.image(P), spec.image(Q))
                 rhs = pairing(LinComb.basis(P), LinComb.basis(Q))
-                checks += 1
-                if lhs != rhs:
-                    violations.append(
-                        {
-                            "check": "pairing",
-                            "degree": n,
-                            "elements": [P.literal(), Q.literal()],
-                            "expected": format_scalar(rhs),
-                            "got": format_scalar(lhs),
-                        }
-                    )
+                check("pairing", n, (P, Q), lhs, rhs, format_scalar)
     return {
         "source": spec.source,
         "target": spec.target,

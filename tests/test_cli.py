@@ -3,6 +3,10 @@ conformance, and round-trips of printed literals."""
 
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -44,6 +48,18 @@ def test_theta_example(cli):
     code, out, err = cli("theta", "SP(3;1<3,2<3)")
     assert code == 0
     assert out.strip() == "123 + 213"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "dposet", "theta", "SP(2; 1<2)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "12\n")
 
 
 def test_verify_bidendriform_passes(cli):

@@ -28,6 +28,8 @@ from dposet.dupdend import (
     spp_dendriform_coproducts,
 )
 from dposet.algebra import Tensor, coproduct
+from dposet.fqsym import fq_nwarrow
+from dposet.morphisms import theta
 from dposet.poset_core import compose, enumerate_family, ideals, nwarrow, restrict
 
 
@@ -300,6 +302,19 @@ def test_a_planted_fault_is_reported(monkeypatch, suite, fault):
     monkeypatch.setattr(dupdend, *FAULTS[fault])
     report = check_axioms(suite, max_degree=3)
     assert PLANTED[suite, fault] <= {v["axiom"] for v in report["violations"]}
+
+
+def test_a_violation_reports_the_side_under_test_as_got(monkeypatch):
+    monkeypatch.setattr(dupdend, *FAULTS["swapped-nwarrow"])
+    report = check_axioms("theta-dupdend", max_degree=3)
+    first = report["violations"][0]
+    x, y = (parse_lincomb(e) for e in first["elements"])
+    assert first == {
+        "axiom": "theta-nwarrow",
+        "elements": first["elements"],
+        "expected": format_lincomb(fq_nwarrow(theta(x), theta(y))),
+        "got": format_lincomb(theta(sp_nwarrow(y, x))),
+    }
 
 
 # -- tensor assembly ---------------------------------------------------------------

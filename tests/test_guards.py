@@ -101,3 +101,33 @@ def test_every_name_the_bench_tracer_wraps_exists():
         if not hasattr(getattr(importlib.import_module("dposet." + module), function, None), "cache_info")
     ]
     assert (missing, uncached) == ([], [])
+
+
+def _calls_to(source, name):
+    """``(function, line)`` of every call of ``name`` or ``module.name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    callee = call.func
+                    called = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                    if called == name:
+                        found.append((node.name, call.lineno))
+    return found
+
+
+def test_guard_finds_inverse_calls():
+    source = "def f(A):\n    return linalg.mat_inverse(A)\n\ndef g(A):\n    return mat_inverse(A)\n"
+    assert _calls_to(source, "mat_inverse") == [("f", 2), ("g", 5)]
+
+
+def test_no_function_in_the_package_inverts_a_matrix():
+    # congruence and isometries are certified by unimodular steps and checked
+    # products; a generic inverse is for callers and tests only
+    found = [
+        f"{path.name}:{line} in {function}"
+        for path in SOURCES
+        for function, line in _calls_to(path.read_text(), "mat_inverse")
+    ]
+    assert found == []

@@ -1,6 +1,9 @@
 """Exact linear algebra: rank/kernel, determinants, congruence, isometries."""
 
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +45,7 @@ def e8_matrix():
 
 def test_det_examples():
     assert det([[2, 1], [1, 1]]) == 1
+    assert det([[0, 1], [1, 0]]) == -1
     assert det([[1, 2], [2, 4]]) == 0
     assert det([[Fraction(1, 2), 0], [0, 4]]) == 2
     assert det(e8_matrix()) == 1
@@ -59,8 +63,11 @@ def test_rank_kernel():
 def test_mat_inverse_and_error():
     A = [[2, 1], [1, 1]]
     assert mat_mul(A, mat_inverse(A)) == identity_matrix(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix not invertible"):
         mat_inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="matrix not square"):
+        mat_inverse([[1, 2]])
+    assert mat_inverse([]) == []
 
 
 def test_mat_helpers_normalize_entries():
@@ -149,11 +156,15 @@ def reference_rank_kernel(A):
 
 
 @st.composite
-def kernel_matrices(draw):
+def kernel_matrices(draw, square=False):
     """Matrices of one scalar kind, with rows that often repeat the span of
     earlier ones, so the rank is often deficient."""
-    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    m = draw(st.integers(0, 5))
+    n = m if square else draw(st.integers(0, 5))
     scalars = draw(st.sampled_from(_SCALAR_KINDS))
+    if square:
+        # zero entries make the elimination swap rows
+        scalars = st.one_of(st.just(0), scalars)
     rows = []
     for i in range(m):
         if i >= 1 and draw(st.booleans()):
@@ -168,6 +179,37 @@ def kernel_matrices(draw):
 @given(kernel_matrices())
 def test_rank_kernel_matches_fraction_gauss_jordan(A):
     assert repr(rank_kernel(A)) == repr(reference_rank_kernel(A))
+
+
+def leibniz_det(A):
+    """The permutation expansion; an ``int`` for an integer matrix."""
+    rows = [[normalize_scalar(x) for x in row] for row in A]
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total += term
+    if all(isinstance(x, Fraction) and x.denominator == 1 for row in rows for x in row):
+        return int(total)
+    return normalize_scalar(total)
+
+
+@given(kernel_matrices(square=True))
+def test_det_matches_the_leibniz_expansion(A):
+    # repr tells an int from a Fraction, so an integer matrix must give an int
+    assert repr(det(A)) == repr(leibniz_det(A))
+
+
+@given(kernel_matrices(square=True))
+def test_mat_inverse_is_a_two_sided_inverse(A):
+    if det(A) == 0:
+        with pytest.raises(ValueError, match="matrix not invertible"):
+            mat_inverse(A)
+    else:
+        inverse = mat_inverse(A)
+        assert mat_mul(A, inverse) == mat_mul(inverse, A) == identity_matrix(len(A))
 
 
 def test_rank_kernel_matches_fraction_gauss_jordan_on_gram_matrices():
@@ -212,27 +254,67 @@ def test_congruence_diagonalize_gram_matrices():
 def test_congruence_diagonalize_rejections():
     with pytest.raises(ValueError, match="not symmetric"):
         congruence_diagonalize([[0, 1], [2, 0]])
-    with pytest.raises(ValueError, match="not unimodular"):
-        congruence_diagonalize([[2, 0], [0, 1]])
-    with pytest.raises(ValueError, match="not unimodular"):
-        congruence_diagonalize([[Fraction(1, 2)]])
+    # every diagonal entry >= 2, a zero diagonal, a unit block, a fraction
+    for M in ([[2, 1], [1, 2]], [[0, 2], [2, 0]], [[2, 0], [0, 1]], [[Fraction(1, 2)]]):
+        with pytest.raises(ValueError, match="^matrix not unimodular$"):
+            congruence_diagonalize(M)
+
+
+def test_congruence_refuses_a_large_non_unimodular_form_before_the_search():
+    # the shrink-and-hunt search would take minutes on 60 x 60; det decides first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^matrix not unimodular$"):
+        congruence_diagonalize([[2 * (i == j) for j in range(60)] for i in range(60)])
+    assert time.perf_counter() - start < 1
 
 
 def test_congruence_diagonalize_honest_failure_on_even_definite_forms():
     # the rank-8 even positive-definite unimodular form has no diagonal
     # entry of norm 1, so no certificate with these blocks exists
-    with pytest.raises(ValueError, match="no unimodular block diagonalization"):
+    with pytest.raises(ValueError, match="^no unimodular block diagonalization found$"):
         congruence_diagonalize(e8_matrix())
 
 
-def test_congruence_diagonalize_random_matrices():
+def test_congruence_takes_no_determinant_on_success(monkeypatch):
+    # the certificate proves unimodularity, and these forms never reach the
+    # shrink-and-hunt branch
+    def no_det(A):
+        raise AssertionError("det on the success path")
+
+    monkeypatch.setattr(linalg, "det", no_det)
+    for family in ("pp", "spp", "pf"):
+        check_certificate(congruence_diagonalize(gram_matrix(family, 4)))
+
+
+def test_complete_unimodular_starts_with_its_vector():
     rng = random.Random(20240814)
+    for size in range(1, 9):
+        for case in range(10):
+            v = [0] * size
+            while math.gcd(*v) != 1:
+                v = [rng.randint(-9, 9) for _ in range(size)]
+            W = linalg._complete_unimodular(v)
+            assert W[0] == v and det(W) in (1, -1)
+    with pytest.raises(ValueError, match="vector not primitive"):
+        linalg._complete_unimodular([2, 4])
+
+
+def test_congruence_diagonalize_random_matrices(monkeypatch):
+    # det is taken at most once, and only before the shrink-and-hunt branch
+    calls = []
+    monkeypatch.setattr(linalg, "det", lambda A: calls.append(A) or det(A))
+    rng = random.Random(20240814)
+    hunted = 0
     for case in range(40):
         size = rng.randint(1, 8)
         M = random_unimodular_symmetric(rng, size)
+        calls.clear()
         cert = congruence_diagonalize(M)
         check_certificate(cert)
         assert [list(r) for r in cert.matrix] == M
+        assert calls in ([], [M])
+        hunted += bool(calls)
+    assert 0 < hunted < 40
 
 
 # -- isometries between pairing matrices ------------------------------------------------
@@ -254,7 +336,7 @@ def test_build_isometry_identity_case():
 def inverse_route_isometry(A, B):
     """``V_a @ V_b^-1`` with a generic Gaussian-rational inverse."""
     va, vb = (
-        mat_mul(mat_transpose(c.transform), linalg._block_unit_transform(c.blocks))
+        mat_mul(mat_transpose(c.transform), linalg._block_diagonal(c.blocks, linalg._BLOCK_UNITS))
         for c in (congruence_diagonalize(A), congruence_diagonalize(B))
     )
     return mat_mul(va, mat_inverse(vb))
@@ -270,10 +352,10 @@ def test_build_isometry_matches_the_inverse_route():
 
 
 def test_build_isometry_checks_its_certificate(monkeypatch):
-    unit = linalg._block_unit_transform
-    monkeypatch.setattr(
-        linalg, "_block_unit_transform", lambda blocks: [[2 * x for x in row] for row in unit(blocks)]
-    )
+    doubled = {
+        b: tuple(tuple(2 * x for x in row) for row in shape) for b, shape in linalg._BLOCK_UNITS.items()
+    }
+    monkeypatch.setattr(linalg, "_BLOCK_UNITS", doubled)
     with pytest.raises(AssertionError, match="isometry certificate failed"):
         build_isometry([[0, 1], [1, 0]], [[1, 0], [0, -1]])
 
@@ -323,6 +405,10 @@ def test_graded_map_spec_image():
     point = parse_poset("SP(1;)")
     assert spec.image(point) == parse_lincomb("SP(1;)")
     assert spec.image(SpecialPoset(0)) == parse_lincomb("SP(0;)")
+    chain, antichain = parse_poset("PP(2; h: 1<2; r:)"), parse_poset("PP(2; h:; r: 1<2)")
+    assert spec(chain) == spec.image(chain)
+    both = spec.image(chain) + spec.image(chain) + spec.image(antichain)
+    assert spec(parse_lincomb("2*PP(2; h: 1<2; r:) + PP(2; h:; r: 1<2)")) == both
     with pytest.raises(ValueError, match="missing degree block"):
         spec.image(parse_poset("PP(3; h: 1<2, 2<3; r:)"))
     with pytest.raises(ValueError, match="basis element"):
