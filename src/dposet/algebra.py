@@ -481,6 +481,23 @@ def apply_slot(x, slot, op):
     return LinComb(out)
 
 
+def _tensor_terms(c, left, right):
+    """The terms of ``c * left (x) right``; each side is a combination or a
+    bare basis key, which counts as one term of coefficient 1."""
+    left, right = (v.items() if isinstance(v, LinComb) else ((v, 1),) for v in (left, right))
+    return ((Tensor(K, L), c * d * e) for K, d in left for L, e in right)
+
+
+def _span(tens, left, right):
+    """The two-slot map ``left (x) right``: the sum of left(a) (x) right(b)
+    over the terms a (x) b of ``tens``."""
+    return LinComb(
+        term
+        for T, c in tens.items()
+        for term in _tensor_terms(c, left(T.factors[0]), right(T.factors[1]))
+    )
+
+
 def require_augmented(x):
     """Reject combinations outside the augmentation ideal."""
     x = as_lincomb(x)
@@ -575,8 +592,11 @@ def _half_coproducts(x, least=False):
     return LinComb(halves[0]), LinComb(halves[1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _picture_count(P, Q):
+    """Pictures between two same-size double posets.  A Gram build counts
+    each pair once, so the bound costs it no hit.  An entry takes 0.16 KB,
+    and up to 2.5 KB with two degree-6 keys that nothing else holds."""
     n = P.n
     img = [0] * n
     count = 0
@@ -700,9 +720,18 @@ def _gram_by_extensions(basis):
     return tuple(rows)
 
 
+# The largest basis whose Gram matrix is built: hop 6 (4,824 elements) fits,
+# while of 6 (16,807) would take tens of GB as a dense n^2 matrix.
+_GRAM_MAX_BASIS = 8192
+
+
 @lru_cache(maxsize=None)
 def _gram_cached(family, n):
+    """The Gram matrix of a family at one degree, as row tuples; an entry
+    takes 8 bytes a cell or more: 0.12 MB for pp 5, 186 MB for hop 6."""
     basis = enumerate_family(family, n)
+    if len(basis) > _GRAM_MAX_BASIS:
+        raise ValueError(f"basis too large for a Gram matrix: {len(basis)} elements")
     if all(is_special(P) for P in basis):
         return _gram_by_extensions(basis)
     size = len(basis)

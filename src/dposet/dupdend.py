@@ -22,8 +22,9 @@ from functools import cache, lru_cache
 
 from .algebra import (
     LinComb,
-    Tensor,
     _half_coproducts,
+    _span,
+    _tensor_terms,
     apply_slot,
     format_lincomb,
     lc_product,
@@ -95,29 +96,12 @@ def spp_dendriform_coproducts(x):
 # -- dendriform half-products on special plane forests ----------------------------
 
 
-@lru_cache(maxsize=256)
-def _first_tree_size(F):
-    """Size of the first tree of the forest ``F``.  An entry, with its key,
-    takes at most 0.7 KB at degree 5 and 0.9 KB at degree 6; the suites
-    leave 22 and 64 entries there."""
-    reach = 1
-    while True:
-        grown = reach
-        for v in range(F.n):
-            if (reach >> v) & 1:
-                grown |= F.up1[v] | F.down1[v]
-        if grown == reach:
-            break
-        reach = grown
-    return reach.bit_length()
-
-
 @lru_cache(maxsize=1024)
 def _prec_basis(F, G):
     """``F prec G`` for forests ``F`` and ``G``.  An entry, with its keys,
     takes at most 8.8 KB at degree 5 and 18 KB at degree 6; the suites
     leave 67 entries (0.16 MB) and 232 (0.66 MB) there."""
-    k = _first_tree_size(F)
+    k = (F.up1[0] | 1).bit_length()  # label 1 is a root, its tree the labels 1..k
     if k == F.n:
         under_root = restrict(F, range(2, F.n + 1))
         return LinComb.basis(b_plus(compose(under_root, G)))
@@ -229,24 +213,6 @@ def _triples(family, max_degree):
                     for Q in grades[b]:
                         for R in grades[c]:
                             yield P, Q, R
-
-
-def _tensor_terms(c, left, right):
-    """The terms of ``c * left (x) right``; each side is a combination or a
-    bare basis key, which counts as one term of coefficient 1."""
-    left, right = (
-        v.items() if isinstance(v, LinComb) else ((v, 1),) for v in (left, right)
-    )
-    return ((Tensor(K, L), c * d * e) for K, d in left for L, e in right)
-
-
-def _span(tens, left, right):
-    """Sum of left(a) (x) right(b) over the terms a (x) b of ``tens``."""
-    return LinComb(
-        term
-        for T, c in tens.items()
-        for term in _tensor_terms(c, left(T.factors[0]), right(T.factors[1]))
-    )
 
 
 def _mix(tx, ty, left, right):
@@ -462,10 +428,6 @@ def _check_lemma36(max_degree):
                         )
 
 
-def _push_theta(tens):
-    return apply_slot(apply_slot(tens, 0, theta), 1, theta)
-
-
 def _check_theta_dupdend(max_degree):
     for P, Q in _pairs("sp", max_degree):
         x, y = LinComb.basis(P), LinComb.basis(Q)
@@ -476,8 +438,8 @@ def _check_theta_dupdend(max_degree):
             prec, succ = sp_dendriform_coproducts(x)
             fq_prec, fq_succ = fq_dendriform_coproducts(theta(x))
             yield (P,), (
-                ("theta-coproduct-prec", _push_theta(prec), fq_prec),
-                ("theta-coproduct-succ", _push_theta(succ), fq_succ),
+                ("theta-coproduct-prec", _span(prec, theta, theta), fq_prec),
+                ("theta-coproduct-succ", _span(succ, theta, theta), fq_succ),
             )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
 
 from .algebra import LinComb, Tensor, _half_coproducts, as_lincomb, coproduct, reduced_coproduct
 from .poset_core import inverse_word
@@ -184,7 +183,6 @@ def fq_pairing(p, q):
     return 1 if p.word == q.inverse().word else 0
 
 
-@lru_cache(maxsize=None)
 def inversions(p):
     """Pairs of values (a, b) with a < b and a appearing after b in the word."""
     out = set()

@@ -20,15 +20,15 @@ entries; every computation here is exact.  The module provides three layers:
   two same-size symmetric unimodular matrices are isometric
   (:func:`build_isometry`, which inverts nothing: ``V.T @ A @ V == I`` gives
   ``V^-1 == V.T @ A``, and it checks ``S.T @ A @ S == B`` itself), and
-  degree-wise linear maps can be checked for multiplicativity, coproduct
-  compatibility, and pairing preservation (:class:`GradedMapSpec`,
-  :func:`verify_graded_isometry`).
+  graded linear maps, given by the image of each source basis element
+  (:class:`GradedMapSpec`), can be checked for multiplicativity, coproduct
+  compatibility, and pairing preservation (:func:`verify_graded_isometry`).
 
-:func:`plane_to_special_isometry` records the known degree-by-degree
-isometric Hopf morphism from plane posets to special plane posets up to
-degree 3, in a corrected ``derived`` variant (which verifies), its complex
-conjugate ``derived-alt``, and the uncorrected ``printed`` variant kept so
-its failure can be reported explicitly.
+:func:`plane_to_special_isometry` records the known isometric Hopf morphism
+from plane posets to special plane posets up to degree 3, as the images of
+the plane basis, in a corrected ``derived`` variant (which verifies), its
+complex conjugate ``derived-alt``, and the uncorrected ``printed`` variant
+kept so its failure can be reported explicitly.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import gcd, lcm, prod
 from operator import floordiv, mul, truediv
 
 from .algebra import (
     GaussRat,
     LinComb,
-    apply_slot,
+    _span,
     as_lincomb,
     format_lincomb,
     format_scalar,
@@ -629,40 +629,30 @@ def build_isometry(A, B):
     return S
 
 
-@lru_cache(maxsize=None)
-def _family_basis(family, n):
-    basis = enumerate_family(family, n)
-    return tuple(basis), {key: i for i, key in enumerate(basis)}
-
-
 @dataclass
 class GradedMapSpec:
-    """Degree-wise matrices of a graded linear map between poset families.
+    """A graded linear map between poset families, given on basis elements.
 
-    ``blocks[n]`` is the matrix of the degree-``n`` component: column ``j``
-    holds the coordinates, in the canonical order of the target family, of
-    the image of the ``j``-th canonical basis element of the source family.
-    The empty poset maps to the empty poset.
+    ``images`` maps every source basis element of degrees 1 to ``degree`` to
+    its image, a combination of target basis elements.  The empty poset maps
+    to the empty poset.
     """
 
     source: str
     target: str
-    blocks: dict
+    images: dict
+    degree: int
 
     def image(self, key):
         """Image of a single source basis element, as a target LinComb."""
         n = key.n
         if n == 0:
             return LinComb.basis(SpecialPoset(0))
-        if n not in self.blocks:
+        if n > self.degree:
             raise ValueError(f"missing degree block: {n}")
-        _, src_index = _family_basis(self.source, n)
-        if key not in src_index:
+        if key not in self.images:
             raise ValueError(f"not a {self.source} basis element: {key.literal()}")
-        j = src_index[key]
-        tgt, _ = _family_basis(self.target, n)
-        matrix = self.blocks[n]
-        return LinComb((tgt[i], matrix[i][j]) for i in range(len(tgt)))
+        return self.images[key]
 
     def __call__(self, x):
         """Linear extension of :meth:`image` to combinations."""
@@ -681,9 +671,9 @@ def verify_graded_isometry(spec, max_degree):
     max_degree = int(max_degree)
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
-    for n in range(1, max_degree + 1):
-        if n not in spec.blocks:
-            raise ValueError(f"missing degree block: {n}")
+    if max_degree > spec.degree:
+        raise ValueError(f"missing degree block: {spec.degree + 1}")
+    source = {n: enumerate_family(spec.source, n) for n in range(1, max_degree + 1)}
     violations = []
     checks = 0
 
@@ -703,25 +693,19 @@ def verify_graded_isometry(spec, max_degree):
 
     for a in range(1, max_degree):
         for b in range(1, max_degree - a + 1):
-            src_a, _ = _family_basis(spec.source, a)
-            src_b, _ = _family_basis(spec.source, b)
-            for P in src_a:
-                for Q in src_b:
+            for P in source[a]:
+                for Q in source[b]:
                     left = spec.image(compose(P, Q))
                     right = lc_product(spec.image(P), spec.image(Q))
                     check("product", [a, b], (P, Q), left, right)
     for n in range(1, max_degree + 1):
-        src, _ = _family_basis(spec.source, n)
-        for P in src:
+        for P in source[n]:
             left = reduced_coproduct(spec.image(P))
-            right = apply_slot(
-                apply_slot(reduced_coproduct(LinComb.basis(P)), 0, spec.image), 1, spec.image
-            )
+            right = _span(reduced_coproduct(LinComb.basis(P)), spec.image, spec.image)
             check("coproduct", n, (P,), left, right)
     for n in range(1, max_degree + 1):
-        src, _ = _family_basis(spec.source, n)
-        for i, P in enumerate(src):
-            for Q in src[i:]:
+        for i, P in enumerate(source[n]):
+            for Q in source[n][i:]:
                 lhs = pairing(spec.image(P), spec.image(Q))
                 rhs = pairing(LinComb.basis(P), LinComb.basis(Q))
                 check("pairing", n, (P, Q), lhs, rhs, format_scalar)
@@ -827,13 +811,4 @@ def plane_to_special_isometry(max_degree=3, variant="derived"):
             images[parse_poset(src_literal)] = img
         for left, right in ((point, antichain2), (point, chain2), (chain2, point)):
             images[compose(left, right)] = lc_product(images[left], images[right])
-    blocks = {}
-    for n in range(1, max_degree + 1):
-        src, _ = _family_basis("pp", n)
-        tgt, tgt_index = _family_basis("spp", n)
-        matrix = [[normalize_scalar(0)] * len(src) for _ in range(len(tgt))]
-        for j, P in enumerate(src):
-            for key, coeff in images[P].terms():
-                matrix[tgt_index[key]][j] = coeff
-        blocks[n] = matrix
-    return GradedMapSpec(source="pp", target="spp", blocks=blocks)
+    return GradedMapSpec(source="pp", target="spp", images=images, degree=max_degree)

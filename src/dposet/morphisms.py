@@ -3,7 +3,8 @@
 - ``linear_extensions`` / ``theta``: the linear-extension statistic on special
   posets, extended linearly to a Hopf morphism onto the permutation space.
 - ``phi`` / ``psi``: the mutually inverse bijections between permutations and
-  special plane posets (realized on the plane side).
+  special plane posets (realized on the plane side); ``psi`` counts each
+  label's bounds in the two orders instead of peeling off vertices.
 - ``theta_hof_inverse`` / ``upsilon``: theta is an isomorphism in restriction
   to heap-ordered forests; upsilon is the induced projection of special
   posets onto heap-ordered forests, a Hopf-algebra morphism and an isometry.
@@ -15,14 +16,15 @@
   recomputes upsilon without linear algebra.
 - ``pairing_kernel_basis``: radical of the pairing on a family span.
 - ``bruhat_interval_check``: whether the linear extensions form a down
-  interval of the right weak order (characterizes special plane posets).
+  interval of the right weak order (characterizes special plane posets),
+  tested by adjacent swaps inside the set of extension words.
 """
 
 import itertools
 from functools import lru_cache
 
 from .algebra import LinComb, _gram_cached, as_lincomb
-from .fqsym import Permutation, inversions, weak_interval_down
+from .fqsym import Permutation
 from .linalg import rank_kernel
 from .poset_core import (
     DoublePoset,
@@ -34,10 +36,8 @@ from .poset_core import (
     is_plane,
     is_special,
     is_special_plane,
-    kappa,
     max_degree,
     plane_version,
-    restrict,
 )
 
 __all__ = [
@@ -57,13 +57,13 @@ __all__ = [
 # -- linear extensions and theta -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _extensions(P):
     """The linear extensions of ``P`` as permutations, in lexicographic order.
 
-    Cached per poset, without bound: an entry takes at most 13 KB at degree
-    5 and 141 KB at degree 6 (the antichain's ``n!`` permutations); all
-    4,231 special posets of degree 5 take 7.9 MB together.
+    An entry takes at most 13 KB at degree 5 and 141 KB at degree 6 (the
+    antichain's ``n!`` permutations).  All 4,231 special posets of degree 5
+    fit in the bound and take 7.9 MB together.
     """
     return tuple(Permutation._trusted(word) for word in extension_words(P))
 
@@ -112,8 +112,9 @@ def phi(sigma):
 
 
 def psi(P):
-    """The permutation of a plane poset: peel off the distinguished maximal
-    vertex (``kappa``) repeatedly; inverse bijection of :func:`phi`.
+    """The permutation of a plane poset, inverse bijection of :func:`phi`:
+    label ``v`` goes to one more than the number of vertices below it in the
+    first order or above it in the second.
 
     Special plane posets are accepted through their plane incarnation.
     """
@@ -122,16 +123,7 @@ def psi(P):
             P = plane_version(P)
         else:
             raise ValueError("not plane")
-    n = P.n
-    alive = list(range(1, n + 1))
-    current = P
-    inverse_word = [0] * n
-    for k in range(n, 0, -1):
-        c = kappa(current)
-        inverse_word[k - 1] = alive[c - 1]
-        del alive[c - 1]
-        current = restrict(current, [v for v in range(1, current.n + 1) if v != c])
-    return Permutation(inverse_word).inverse()
+    return Permutation([1 + P.down1[v].bit_count() + P.up2[v].bit_count() for v in range(P.n)])
 
 
 # -- inverting theta on heap-ordered forests -------------------------------------
@@ -280,15 +272,19 @@ def pairing_kernel_basis(family, n):
 
 def bruhat_interval_check(P):
     """Whether the linear extensions of ``P`` form a down interval of the
-    right weak order.  True exactly on special plane posets."""
+    right weak order.  True exactly on special plane posets.
+
+    A set of words is such an interval when undoing any descent (swapping
+    two adjacent letters that decrease) stays inside it, and exactly one of
+    its words, the top, has no ascent whose swap is inside it.
+    """
     if not is_special(P):
         raise ValueError("not a special poset")
-    extensions = set(_extensions(P))
-    tops = sorted(
-        (len(inversions(sigma)), sigma.word) for sigma in extensions
-    )
-    top_count, top_word = tops[-1]
-    if len(tops) > 1 and tops[-2][0] == top_count:
-        return False
-    interval = weak_interval_down(Permutation(top_word))
-    return len(interval) == len(extensions) and set(interval) == extensions
+    words = set(extension_words(P))
+    tops = 0
+    for w in words:
+        swaps = [(w[i] > w[i + 1], w[:i] + (w[i + 1], w[i]) + w[i + 2 :]) for i in range(len(w) - 1)]
+        if any(descent and s not in words for descent, s in swaps):
+            return False
+        tops += not any(s in words for descent, s in swaps if not descent)
+    return tops == 1

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -270,11 +271,32 @@ def test_phi_psi_bruhat(cli):
 
 
 def test_psi_on_a_long_chain_literal(cli):
-    # psi restricts to nearly every label; its cost must follow the degree, not 2^degree.
+    # psi's cost must follow the degree, not 2^degree.
     n = 64
     chain = ", ".join(f"{a}<{a + 1}" for a in range(1, n))
     code, out, err = cli("psi", f"SP({n}; {chain})")
     assert (code, out.strip(), err) == (0, "[" + ",".join(map(str, range(1, n + 1))) + "]", "")
+
+
+def test_bruhat_interval_of_a_twelve_chain_walks_no_permutations(cli):
+    # the chain's one extension is tested alone, not against the 12! permutations
+    chain = ", ".join(f"{a}<{a + 1}" for a in range(1, 12))
+    start = time.perf_counter()
+    code, out, err = cli("bruhat-interval", f"SP(12; {chain})")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (("gram", "--family", "dp", "--degree", "4"), 47961),
+        (("kernel", "--family", "of", "--degree", "6"), 16807),
+    ],
+)
+def test_a_basis_too_large_for_a_gram_matrix_is_refused(cli, argv, size):
+    code, out, err = cli(*argv)
+    assert (code, out, err) == (1, "", f"error: basis too large for a Gram matrix: {size} elements\n")
 
 
 def test_decorations_row(cli):

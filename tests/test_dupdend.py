@@ -30,7 +30,7 @@ from dposet.dupdend import (
 from dposet.algebra import Tensor, coproduct
 from dposet.fqsym import fq_nwarrow
 from dposet.morphisms import theta
-from dposet.poset_core import compose, enumerate_family, ideals, nwarrow, restrict
+from dposet.poset_core import b_plus, compose, enumerate_family, ideals, nwarrow, restrict
 
 
 def lc(text):
@@ -169,6 +169,53 @@ def test_spf_prec_single_tree_grafts_under_the_root():
     # B+(F) prec G = B+(F G): the right factor moves under the root.
     out = spf_prec(lc("SP(2; 1<2)"), lc("SP(1;)"))
     assert format_lincomb(out) == "SP(3; 1<2, 1<3)"
+
+
+def _first_tree_by_search(F):
+    """Reference: the labels reachable from label 1 along the first order,
+    up and down, as a bitmask."""
+    reach = 1
+    while True:
+        grown = reach
+        for v in range(F.n):
+            if (reach >> v) & 1:
+                grown |= F.up1[v] | F.down1[v]
+        if grown == reach:
+            return reach
+        reach = grown
+
+
+def test_first_tree_is_label_one_and_its_descendants_through_degree_six():
+    forests = [F for n in range(1, 7) for F in enumerate_family("spf", n)]
+    assert len(forests) == 196
+    for F in forests:
+        k = (F.up1[0] | 1).bit_length()
+        assert _first_tree_by_search(F) == (1 << k) - 1, F.literal()
+
+
+def _prec_by_search(F, G):
+    """Reference ``F prec G``: split off the first tree found by search;
+    ``B+(F) prec G = B+(F G)`` and ``(t F) prec G = t prec (F G) + t succ
+    (F prec G)``, with ``t succ Z = t Z - t prec Z``."""
+    k = _first_tree_by_search(F).bit_length()
+    if k == F.n:
+        return LinComb.basis(b_plus(compose(restrict(F, range(2, F.n + 1)), G)))
+    first = restrict(F, range(1, k + 1))
+    rest = restrict(F, range(k + 1, F.n + 1))
+    parts = [_prec_by_search(first, compose(rest, G))]
+    for Z, c in _prec_by_search(rest, G).items():
+        parts.append(LinComb.basis(compose(first, Z), c))
+        parts.append(_prec_by_search(first, Z) * -c)
+    return LinComb.sum(parts)
+
+
+def test_spf_prec_matches_the_search_split_through_degree_six():
+    forests = {n: enumerate_family("spf", n) for n in range(1, 6)}
+    for a in range(1, 6):
+        for b in range(1, 7 - a):
+            for F in forests[a]:
+                for G in forests[b]:
+                    assert spf_prec(F, G) == _prec_by_search(F, G), (F.literal(), G.literal())
 
 
 def test_spf_half_products_reject_non_forests():
@@ -369,7 +416,7 @@ def test_span_and_mix_match_the_tensor_of_route():
 
 
 def test_half_product_caches_keep_every_entry_of_the_degree_five_suites():
-    caches = (dupdend._prec_basis, dupdend._first_tree_size)
+    caches = (dupdend._prec_basis,)
     for cache in caches:
         cache.cache_clear()
     for suite in ("dendriform-hopf", "bidendriform", "lemma36-adjunction"):

@@ -103,6 +103,39 @@ def test_every_name_the_bench_tracer_wraps_exists():
     assert (missing, uncached) == ([], [])
 
 
+# Caches keyed by a degree or by (family, degree) alone: a run names few keys,
+# and a bound would only evict what is asked for again.
+UNBOUNDED_CACHES = {
+    "poset_core._natural_up": "keyed by the degree: one tuple of n masks",
+    "poset_core._sp_masks": "keyed by (degree, heap): the special posets of one degree as masks",
+    "algebra._gram_cached": "keyed by (family, degree); _GRAM_MAX_BASIS caps the basis of an entry",
+}
+
+
+def _module_caches():
+    """``module.name`` -> function for every functools cache defined at module level."""
+    found = {}
+    for path in SOURCES:
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module("dposet" if path.stem == "__init__" else f"dposet.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found[f"{path.stem}.{name}"] = value
+    return found
+
+
+def test_every_module_level_cache_is_bounded():
+    caches = _module_caches()
+    assert set(UNBOUNDED_CACHES) <= set(caches)
+    unbounded = sorted(
+        name
+        for name, fn in caches.items()
+        if fn.cache_info().maxsize is None and name not in UNBOUNDED_CACHES
+    )
+    assert unbounded == []
+
+
 def _calls_to(source, name):
     """``(function, line)`` of every call of ``name`` or ``module.name``."""
     found = []

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dposet import linalg
-from dposet.algebra import GaussRat, gram_matrix, normalize_scalar, parse_lincomb
+from dposet.algebra import GaussRat, LinComb, gram_matrix, normalize_scalar, parse_lincomb
 from dposet.linalg import (
     ISOMETRY_VARIANTS,
     GradedMapSpec,
@@ -26,7 +26,7 @@ from dposet.linalg import (
     rank_kernel,
     verify_graded_isometry,
 )
-from dposet.poset_core import SpecialPoset, parse_poset
+from dposet.poset_core import SpecialPoset, enumerate_family, parse_poset
 
 from conftest import random_unimodular_symmetric
 
@@ -413,6 +413,32 @@ def test_graded_map_spec_image():
         spec.image(parse_poset("PP(3; h: 1<2, 2<3; r:)"))
     with pytest.raises(ValueError, match="basis element"):
         spec.image(parse_poset("SP(2; 2<1)"))
+
+
+def test_graded_map_spec_holds_the_image_of_each_source_basis_element():
+    spec = plane_to_special_isometry(max_degree=3)
+    assert spec.degree == 3
+    assert set(spec.images) == {P for n in (1, 2, 3) for P in enumerate_family("pp", n)}
+    with pytest.raises(ValueError, match="^missing degree block: 4$"):
+        verify_graded_isometry(spec, 4)
+    images = {P: LinComb.basis(P) for n in (1, 2, 3) for P in enumerate_family("spp", n)}
+    identity = GradedMapSpec(source="spp", target="spp", images=images, degree=3)
+    report = verify_graded_isometry(identity, 3)
+    assert (report["ok"], report["checks"]) == (True, 39)
+    P = parse_poset("SP(3; 1<2)")
+    images[P] = LinComb.basis(P, 2)
+    coproduct = [v for v in verify_graded_isometry(identity, 3)["violations"] if v["check"] == "coproduct"]
+    assert coproduct == [
+        {
+            "check": "coproduct",
+            "degree": 3,
+            "elements": ["SP(3; 1<2)"],
+            "expected": "SP(1;) (x) SP(2;) + SP(1;) (x) SP(2; 1<2)"
+            " + SP(2;) (x) SP(1;) + SP(2; 1<2) (x) SP(1;)",
+            "got": "2*SP(1;) (x) SP(2;) + 2*SP(1;) (x) SP(2; 1<2)"
+            " + 2*SP(2;) (x) SP(1;) + 2*SP(2; 1<2) (x) SP(1;)",
+        }
+    ]
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=6))

@@ -3,6 +3,7 @@ bijections, the heap-ordered-forest projection, and the pairing radical."""
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 
 from dposet import morphisms
 from dposet.algebra import GaussRat, LinComb, format_lincomb, pairing, parse_lincomb
-from dposet.fqsym import Permutation, parse_permutation, weak_interval_down
+from dposet.fqsym import Permutation, inversions, parse_permutation, weak_interval_down
 from dposet.linalg import mat_inverse
 from dposet.morphisms import (
     bruhat_interval_check,
@@ -25,13 +26,18 @@ from dposet.morphisms import (
     upsilon_by_rewriting,
 )
 from dposet.poset_core import (
+    _relabel,
     canonical_form,
     enumerate_family,
     extension_words,
     format_poset,
     iota,
     is_heap_forest,
+    is_plane,
+    kappa,
     parse_poset,
+    plane_version,
+    restrict,
     reverse_rel2,
 )
 
@@ -142,6 +148,36 @@ def test_psi_composed_with_involutions():
         for P in enumerate_family("pp", n):
             assert psi(iota(P)) == value_complement(psi(P))
             assert psi(canonical_form(reverse_rel2(P))) == psi(P).inverse()
+
+
+def _psi_by_peeling(P):
+    """Reference: peel off the distinguished maximal vertex (``kappa``) of the
+    plane incarnation repeatedly; the k-th vertex peeled from the top takes
+    the value n + 1 - k."""
+    if not is_plane(P):
+        P = plane_version(P)
+    alive = list(range(1, P.n + 1))
+    inverse_word = [0] * P.n
+    for k in range(P.n, 0, -1):
+        c = kappa(P)
+        inverse_word[k - 1] = alive.pop(c - 1)
+        P = restrict(P, [v for v in range(1, P.n + 1) if v != c])
+    return Permutation(inverse_word).inverse()
+
+
+def test_psi_matches_the_peeling_route_through_degree_six():
+    rng = random.Random(11)
+    checked = 0
+    for n in range(7):
+        for P in enumerate_family("pp", n):
+            relabeled = _relabel(P, rng.sample(range(n), n))
+            for Q in (P, relabeled):
+                assert psi(Q) == _psi_by_peeling(Q), format_poset(Q)
+                checked += 1
+        for P in enumerate_family("spp", n):
+            assert psi(P) == _psi_by_peeling(P), format_poset(P)
+            checked += 1
+    assert checked == 3 * sum(map(math.factorial, range(7)))  # pp and spp: n! each
 
 
 # -- inversion over heap-ordered forests and upsilon -------------------------------
@@ -347,6 +383,28 @@ def test_bruhat_interval_top_is_inverse_of_psi():
     for P in enumerate_family("spp", 3):
         top = psi(P).inverse()
         assert set(weak_interval_down(top)) == set(linear_extensions(P))
+
+
+def _interval_by_weak_order(P):
+    """Reference: the extension with the most inversions must be the only
+    one with that many, and its weak-order down interval the extensions."""
+    extensions = set(linear_extensions(P))
+    tops = sorted((len(inversions(sigma)), sigma.word) for sigma in extensions)
+    top_count, top_word = tops[-1]
+    if len(tops) > 1 and tops[-2][0] == top_count:
+        return False
+    return set(weak_interval_down(Permutation(top_word))) == extensions
+
+
+def test_bruhat_interval_check_matches_the_weak_order_route_through_degree_five():
+    answers = [
+        (bruhat_interval_check(P), _interval_by_weak_order(P))
+        for n in range(6)
+        for P in enumerate_family("sp", n)
+    ]
+    assert len(answers) == 4474
+    assert all(new == old for new, old in answers)
+    assert sum(new for new, _ in answers) == sum(map(math.factorial, range(6)))  # spp
 
 
 def test_bruhat_interval_check_rejects_non_special():
