@@ -22,15 +22,15 @@
 
 import itertools
 from functools import lru_cache
+from math import factorial
 
-from .algebra import LinComb, _gram_cached, as_lincomb
+from .algebra import LinComb, _extension_sets, _gram_basis, _gram_of, as_lincomb
 from .fqsym import Permutation
 from .linalg import rank_kernel
 from .poset_core import (
     DoublePoset,
     SpecialPoset,
     _special,
-    enumerate_family,
     extension_words,
     is_heap_forest,
     is_plane,
@@ -263,11 +263,39 @@ def upsilon_by_rewriting(x, fuel=100000):
 
 def pairing_kernel_basis(family, n):
     """Rational basis of the radical of the pairing on the degree-``n`` span
-    of a family (equivalently the kernel of theta intersected with the span,
-    for the families containing all heap-ordered forests)."""
-    basis = enumerate_family(family, n)
-    _, kernel = rank_kernel(_gram_cached(family, n))
-    return [LinComb(zip(basis, vec)) for vec in kernel]
+    of a family, read off a reduced row echelon form.
+
+    theta is an isometry onto the permutations, so the Gram matrix is
+    ``G = Θᵀ J Θ``, where ``Θ`` is the ``n! × |basis|`` 0/1 incidence of
+    extension words and ``J`` pairs each permutation with its inverse.
+    When every basis element is special and ``Θ`` has rank ``n!``, the
+    radical is the kernel of ``Θ``, which is eliminated instead of ``G``; a
+    reduced echelon kernel basis depends only on the subspace, so both
+    routes give the same vectors.  Otherwise ``G`` is eliminated: for the
+    non-special families, and for special ones where ``Θ`` has rank below
+    ``n!`` (swnp 4 has 22 < 24 elements, and its ``Θ`` kernel is not the
+    radical).  A basis too large for a Gram matrix is refused before either
+    route.
+    """
+    basis = _gram_basis(family, n)
+    kernel = _theta_kernel(basis, n)
+    if kernel is None:
+        _, kernel = rank_kernel(_gram_of(basis))
+    # a kernel vector is nonzero only on the pivot columns and its free one
+    return [LinComb((P, c) for P, c in zip(basis, vec) if c) for vec in kernel]
+
+
+def _theta_kernel(basis, n):
+    """The kernel of ``Θ`` on a degree-``n`` basis, or None unless every
+    element is special and ``Θ`` has rank ``n!``."""
+    if len(basis) < factorial(n) or not all(map(is_special, basis)):
+        return None
+    rows = {}  # extension word -> its row of Θ
+    for j, P in enumerate(basis):
+        for word in _extension_sets(P)[0]:
+            rows.setdefault(word, [0] * len(basis))[j] = 1
+    rank, kernel = rank_kernel(list(rows.values()))
+    return kernel if rank == factorial(n) else None
 
 
 def bruhat_interval_check(P):

@@ -451,16 +451,26 @@ def compose(P, Q):
 
 
 def _up_sets(P):
-    """The up-sets of the first order as bitmasks, sorted by (size, labels)."""
+    """The up-sets of the first order as bitmasks, sorted by (size, labels).
+
+    Within one size, the label lists come in the descending order of the
+    bit-reversed masks, so two stable sorts with table keys give the order.
+    """
+    n = P.n
     up = P.up1
-    above = [0] * (1 << P.n)  # above[S]: the labels above some label of S
+    above = [0] * (1 << n)  # above[S]: the labels above some label of S
+    rev = [0] * (1 << n)  # rev[S]: S with label v on bit n - 1 - v
+    top = 1 << n >> 1
     masks = [0]
-    for S in range(1, 1 << P.n):
+    for S in range(1, 1 << n):
         low = S & -S
-        above[S] = above[S ^ low] | up[low.bit_length() - 1]
+        v = low.bit_length() - 1
+        above[S] = above[S ^ low] | up[v]
+        rev[S] = rev[S ^ low] | top >> v
         if not above[S] & ~S:
             masks.append(S)
-    masks.sort(key=lambda S: (S.bit_count(), list(_bits(S))))
+    masks.sort(key=rev.__getitem__, reverse=True)
+    masks.sort(key=int.bit_count)
     return masks
 
 

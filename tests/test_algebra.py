@@ -1,6 +1,7 @@
 """Scalars, linear combinations, product, coproduct, pairing, antipode."""
 
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from dposet.poset_core import (
     empty_poset,
     enumerate_family,
     parse_poset,
+    plane_version,
 )
 
 
@@ -272,6 +274,37 @@ def test_pairing_routes_are_chosen_by_the_special_test(monkeypatch):
     chain, antichain = parse_poset("PP(2; h: 1<2; r:)"), parse_poset("PP(2; h:; r: 1<2)")
     assert pairing_basis(chain, antichain) == 1
     assert len(calls) == 1
+
+
+def pairing_term_by_term(x, y):
+    """Reference pairing: every pair of terms through ``pairing_basis``."""
+    return normalize_scalar(
+        sum(cx * cy * pairing_basis(P, Q) for P, cx in x.items() for Q, cy in y.items())
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_image_pairing_matches_the_term_pairs(monkeypatch, seed):
+    rng = random.Random(seed)
+    sp4, sp5 = enumerate_family("sp", 4), enumerate_family("sp", 5)
+
+    def combination(basis, size):
+        picks = rng.sample(basis, size)
+        return LinComb((P, Fraction(rng.randint(-9, 9), rng.randint(1, 3))) for P in picks)
+
+    x, y = combination(sp5, 60), combination(sp5, 60)
+    mixed = combination(sp4, 20) + combination(sp5, 20) + GaussRat(1, 2) * combination(sp4, 5)
+    plane = mixed + LinComb.basis(plane_version(enumerate_family("spp", 4)[rng.randrange(24)]))
+    cases = [(x, y), (x, mixed), (mixed, mixed), (plane, mixed), (mixed, plane)]
+    want = [pairing_term_by_term(a, b) for a, b in cases]
+    calls = []
+    by_basis = algebra.pairing_basis
+    monkeypatch.setattr(algebra, "pairing_basis", lambda P, Q: calls.append(P) or by_basis(P, Q))
+    for (a, b), value in zip(cases, want):
+        calls.clear()
+        assert pairing(a, b) == value and type(pairing(a, b)) is type(value)
+        # only a combination with a non-special term pairs term by term
+        assert bool(calls) == (plane in (a, b))
 
 
 def test_pairing_examples():

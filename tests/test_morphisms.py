@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from dposet import morphisms
-from dposet.algebra import GaussRat, LinComb, format_lincomb, pairing, parse_lincomb
+from dposet.algebra import GaussRat, LinComb, format_lincomb, gram_matrix, pairing, parse_lincomb
 from dposet.fqsym import Permutation, inversions, parse_permutation, weak_interval_down
-from dposet.linalg import mat_inverse
+from dposet.linalg import mat_inverse, rank_kernel
 from dposet.morphisms import (
     bruhat_interval_check,
     linear_extensions,
@@ -362,6 +362,45 @@ def test_pairing_kernel_elements_pair_to_zero():
     for v in kernel:
         for P in enumerate_family("sp", 3):
             assert pairing(v, LinComb(((P, 1),))) == 0
+
+
+def gram_kernel(family, n):
+    """Reference radical: the kernel of the full Gram matrix."""
+    basis = enumerate_family(family, n)
+    _, kernel = rank_kernel(gram_matrix(family, n))
+    return [LinComb(zip(basis, vec)) for vec in kernel]
+
+
+SPECIAL_FAMILIES = ("sp", "hop", "of", "spp", "hof", "spf", "swnp")
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, n) for f in SPECIAL_FAMILIES for n in range(1, 5)]
+    + [(f, 5) for f in ("spp", "hof", "spf", "swnp")],
+)
+def test_theta_kernel_is_the_gram_kernel(family, n):
+    got, want = pairing_kernel_basis(family, n), gram_kernel(family, n)
+    assert [format_lincomb(v) for v in got] == [format_lincomb(v) for v in want]
+
+
+def theta_incidence(basis, n):
+    words = itertools.permutations(range(1, n + 1))
+    return [[int(w in extension_words(P)) for P in basis] for w in words]
+
+
+def test_theta_kernel_needs_full_rank():
+    assert morphisms._theta_kernel(enumerate_family("sp", 4), 4) is not None
+    # swnp 4 has 22 < 24 elements; there the kernel of theta's incidence
+    # matrix is not the radical of the pairing
+    swnp = enumerate_family("swnp", 4)
+    assert morphisms._theta_kernel(swnp, 4) is None
+    rank, kernel = rank_kernel(theta_incidence(swnp, 4))
+    assert rank == 22 and kernel == [] and len(gram_kernel("swnp", 4)) == 1
+    # six posets with 1 below 2 have 3! elements, but no extension puts 2 first
+    below = [P for P in enumerate_family("sp", 3) if P.less(1, 2)]
+    assert len(below) == 6 and rank_kernel(theta_incidence(below, 3))[0] == 3
+    assert morphisms._theta_kernel(below, 3) is None
 
 
 # -- weak-order down intervals ----------------------------------------------------

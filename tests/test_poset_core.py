@@ -252,6 +252,19 @@ def test_mask_ideals_match_the_subset_filter():
         assert ideals(P) == ideals_by_subsets(P), P
 
 
+def test_up_sets_sort_like_the_label_list_key():
+    # the antichain has every mask as an up-set; the key is the old label-list one
+    def label_key(S):
+        return S.bit_count(), [v for v in range(S.bit_length()) if (S >> v) & 1]
+
+    for n in range(8):
+        antichain = SpecialPoset(n, ())
+        assert poset_core._up_sets(antichain) == sorted(range(1 << n), key=label_key), n
+    for P in _small_posets() + _large_posets()[2:]:
+        got = poset_core._up_sets(P)
+        assert got == sorted(got, key=label_key), P
+
+
 def test_down_masks_are_made_on_first_use():
     for P in _small_posets():
         assert P._down1 is None and P._down2 is None
