@@ -490,14 +490,20 @@ def _tensor_terms(c, left, right):
     return ((Tensor(K, L), c * d * e) for K, d in left for L, e in right)
 
 
-def _span(tens, left, right):
-    """The two-slot map ``left (x) right``: the sum of left(a) (x) right(b)
-    over the terms a (x) b of ``tens``."""
-    return LinComb(
+def _span_terms(tens, left, right):
+    """The terms of the two-slot map ``left (x) right``: those of
+    left(a) (x) right(b) over the terms a (x) b of ``tens``."""
+    return (
         term
         for T, c in tens.items()
         for term in _tensor_terms(c, left(T.factors[0]), right(T.factors[1]))
     )
+
+
+def _span(tens, left, right):
+    """The two-slot map ``left (x) right``: the sum of left(a) (x) right(b)
+    over the terms a (x) b of ``tens``."""
+    return LinComb(_span_terms(tens, left, right))
 
 
 def require_augmented(x):

@@ -19,19 +19,20 @@
 """
 
 from functools import cache, lru_cache
+from itertools import chain
 
 from .algebra import (
     LinComb,
+    _gram_cached,
     _half_coproducts,
     _span,
+    _span_terms,
     _tensor_terms,
     apply_slot,
     format_lincomb,
     lc_product,
-    pairing,
     reduced_coproduct,
     require_augmented,
-    tensor_of,
 )
 from .fqsym import fq_dendriform_coproducts, fq_nwarrow
 from .linalg import rank_kernel
@@ -195,17 +196,31 @@ def _graded(family, max_degree):
     return {n: enumerate_family(family, n) for n in range(1, max_degree + 1)}
 
 
-def _pairs(family, max_degree):
-    grades = _graded(family, max_degree)
+def _pairs(family, max_degree, left, right):
+    """The basis pairs ``(P, Q)`` of total degree at most ``max_degree``, as
+    ``(P, Q, left(P), right(Q))``, so each factor's own work is done once.
+
+    The pairs come in one block per degree pair ``(a, b)``: ``P`` runs over
+    grade ``a`` outside, ``Q`` over grade ``b`` inside.  ``left(P)`` is
+    computed once per block; ``right`` goes through a cache that lives for
+    one block, so it holds at most one grade's results.  The suites pass
+    this module's globals as ``left`` and ``right``, so a replacement
+    planted by a test applies.  Only grades ``1..max_degree - 1`` are read.
+    """
+    grades = _graded(family, max_degree - 1)
     for a in range(1, max_degree):
         for b in range(1, max_degree - a + 1):
+            right_of = cache(right)
             for P in grades[a]:
+                left_of_P = left(P)
                 for Q in grades[b]:
-                    yield P, Q
+                    yield P, Q, left_of_P, right_of(Q)
 
 
 def _triples(family, max_degree):
-    grades = _graded(family, max_degree)
+    """The basis triples of total degree at most ``max_degree``; only grades
+    ``1..max_degree - 2`` are read."""
+    grades = _graded(family, max_degree - 2)
     for a in range(1, max_degree - 1):
         for b in range(1, max_degree - a):
             for c in range(1, max_degree - a - b + 1):
@@ -215,10 +230,10 @@ def _triples(family, max_degree):
                             yield P, Q, R
 
 
-def _mix(tx, ty, left, right):
-    """Sum of left(a, u) (x) right(b, v) over terms a (x) b of ``tx`` and
-    u (x) v of ``ty``."""
-    return LinComb(
+def _mix_terms(tx, ty, left, right):
+    """The terms of left(a, u) (x) right(b, v) over the terms a (x) b of
+    ``tx`` and u (x) v of ``ty``."""
+    return (
         term
         for Tx, c in tx.items()
         for Ty, d in ty.items()
@@ -229,7 +244,8 @@ def _mix(tx, ty, left, right):
 
 
 # Each ``_check_*`` suite yields ``(elements, cases)`` per basis tuple, every
-# case an ``(axiom, lhs, rhs)`` whose sides must be equal.
+# case an ``(axiom, lhs, rhs)`` whose sides must be equal.  A right side made
+# of several term streams is accumulated in one build.
 
 
 def _check_duplicial(max_degree):
@@ -266,172 +282,242 @@ def _check_dendriform_coalgebra(max_degree):
                 yield (P,), ((f"{family}:{name}", lhs, rhs) for name, lhs, rhs in cases)
 
 
+def _coproduct_and_split(P):
+    return reduced_coproduct(P), *sp_dendriform_coproducts(P)
+
+
 def _check_dupdend_compat(max_degree):
-    for P, Q in _pairs("sp", max_degree):
+    """``P``'s reduced coproduct and split are computed once per block of
+    :func:`_pairs`, and ``Q``'s split once per block in a cache that holds at
+    most one grade's splits."""
+    pairs = _pairs("sp", max_degree, _coproduct_and_split, sp_dendriform_coproducts)
+    for P, Q, (dx, px, sx), (py, sy) in pairs:
         x, y = LinComb.basis(P), LinComb.basis(Q)
-        dx = reduced_coproduct(x)
-        px, sx = sp_dendriform_coproducts(x)
-        py, sy = sp_dendriform_coproducts(y)
         product_prec, product_succ = sp_dendriform_coproducts(x * y)
         nwarrow_prec, nwarrow_succ = sp_dendriform_coproducts(sp_nwarrow(x, y))
         yield (P, Q), (
             (
                 "product-prec",
                 product_prec,
-                tensor_of(Q, P)
-                + _span(py, lambda a: a, lambda b: compose(P, b))
-                + _span(py, lambda a: compose(P, a), lambda b: b)
-                + _span(dx, lambda a: compose(a, Q), lambda b: b)
-                + _mix(dx, py, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _tensor_terms(1, Q, P),
+                    _span_terms(py, lambda a: a, lambda b: compose(P, b)),
+                    _span_terms(py, lambda a: compose(P, a), lambda b: b),
+                    _span_terms(dx, lambda a: compose(a, Q), lambda b: b),
+                    _mix_terms(dx, py, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
             (
                 "product-succ",
                 product_succ,
-                tensor_of(P, Q)
-                + _span(sy, lambda a: compose(P, a), lambda b: b)
-                + _span(sy, lambda a: a, lambda b: compose(P, b))
-                + _span(dx, lambda a: a, lambda b: compose(b, Q))
-                + _mix(dx, sy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _tensor_terms(1, P, Q),
+                    _span_terms(sy, lambda a: compose(P, a), lambda b: b),
+                    _span_terms(sy, lambda a: a, lambda b: compose(P, b)),
+                    _span_terms(dx, lambda a: a, lambda b: compose(b, Q)),
+                    _mix_terms(dx, sy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
             (
                 "nwarrow-prec",
                 nwarrow_prec,
-                _span(py, lambda a: nwarrow(P, a), lambda b: b)
-                + _span(px, lambda a: nwarrow(a, Q), lambda b: b)
-                + _mix(px, py, lambda a, u: nwarrow(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _span_terms(py, lambda a: nwarrow(P, a), lambda b: b),
+                    _span_terms(px, lambda a: nwarrow(a, Q), lambda b: b),
+                    _mix_terms(px, py, lambda a, u: nwarrow(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
             (
                 "nwarrow-succ",
                 nwarrow_succ,
-                tensor_of(P, Q)
-                + _span(sy, lambda a: nwarrow(P, a), lambda b: b)
-                + _span(sx, lambda a: a, lambda b: nwarrow(b, Q))
-                + _span(px, lambda a: a, lambda b: compose(b, Q))
-                + _mix(px, sy, lambda a, u: nwarrow(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _tensor_terms(1, P, Q),
+                    _span_terms(sy, lambda a: nwarrow(P, a), lambda b: b),
+                    _span_terms(sx, lambda a: a, lambda b: nwarrow(b, Q)),
+                    _span_terms(px, lambda a: a, lambda b: compose(b, Q)),
+                    _mix_terms(px, sy, lambda a, u: nwarrow(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
         )
 
 
 def _check_codendriform(max_degree):
-    for P, Q in _pairs("spp", max_degree):
+    """``P``'s split is computed once per block of :func:`_pairs`, and
+    ``Q``'s reduced coproduct once per block in a cache that holds at most
+    one grade's coproducts."""
+    for P, Q, (px, sx), dy in _pairs("spp", max_degree, spp_dendriform_coproducts, reduced_coproduct):
         x, y = LinComb.basis(P), LinComb.basis(Q)
-        dy = reduced_coproduct(y)
-        px, sx = spp_dendriform_coproducts(x)
         product_prec, product_succ = spp_dendriform_coproducts(x * y)
         yield (P, Q), (
             (
                 "coproduct-prec-of-product",
                 product_prec,
-                tensor_of(P, Q)
-                + _span(px, lambda a: compose(a, Q), lambda b: b)
-                + _span(px, lambda a: a, lambda b: compose(b, Q))
-                + _span(dy, lambda a: compose(P, a), lambda b: b)
-                + _mix(px, dy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _tensor_terms(1, P, Q),
+                    _span_terms(px, lambda a: compose(a, Q), lambda b: b),
+                    _span_terms(px, lambda a: a, lambda b: compose(b, Q)),
+                    _span_terms(dy, lambda a: compose(P, a), lambda b: b),
+                    _mix_terms(px, dy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
             (
                 "coproduct-succ-of-product",
                 product_succ,
-                tensor_of(Q, P)
-                + _span(sx, lambda a: compose(a, Q), lambda b: b)
-                + _span(sx, lambda a: a, lambda b: compose(b, Q))
-                + _span(dy, lambda a: a, lambda b: compose(P, b))
-                + _mix(sx, dy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _tensor_terms(1, Q, P),
+                    _span_terms(sx, lambda a: compose(a, Q), lambda b: b),
+                    _span_terms(sx, lambda a: a, lambda b: compose(b, Q)),
+                    _span_terms(dy, lambda a: a, lambda b: compose(P, b)),
+                    _mix_terms(sx, dy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
         )
 
 
 def _check_dendriform_hopf(max_degree):
-    for P, Q in _pairs("spf", max_degree):
+    """``P``'s reduced coproduct is computed once per block of
+    :func:`_pairs`, and ``Q``'s once per block in a cache that holds at most
+    one grade's coproducts."""
+    for P, Q, dx, dy in _pairs("spf", max_degree, reduced_coproduct, reduced_coproduct):
         x, y = LinComb.basis(P), LinComb.basis(Q)
-        dx = reduced_coproduct(x)
-        dy = reduced_coproduct(y)
         yield (P, Q), (
             (
                 "reduced-coproduct-of-prec",
                 reduced_coproduct(spf_prec(x, y)),
-                tensor_of(P, Q)
-                + _span(dy, lambda a: spf_prec(P, a), lambda b: b)
-                + _span(dx, lambda a: a, lambda b: compose(b, Q))
-                + _span(dx, lambda a: spf_prec(a, Q), lambda b: b)
-                + _mix(dx, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _tensor_terms(1, P, Q),
+                    _span_terms(dy, lambda a: spf_prec(P, a), lambda b: b),
+                    _span_terms(dx, lambda a: a, lambda b: compose(b, Q)),
+                    _span_terms(dx, lambda a: spf_prec(a, Q), lambda b: b),
+                    _mix_terms(dx, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
             (
                 "reduced-coproduct-of-succ",
                 reduced_coproduct(spf_succ(x, y)),
-                tensor_of(Q, P)
-                + _span(dy, lambda a: spf_succ(P, a), lambda b: b)
-                + _span(dy, lambda a: a, lambda b: compose(P, b))
-                + _span(dx, lambda a: spf_succ(a, Q), lambda b: b)
-                + _mix(dx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _tensor_terms(1, Q, P),
+                    _span_terms(dy, lambda a: spf_succ(P, a), lambda b: b),
+                    _span_terms(dy, lambda a: a, lambda b: compose(P, b)),
+                    _span_terms(dx, lambda a: spf_succ(a, Q), lambda b: b),
+                    _mix_terms(dx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
         )
 
 
 def _check_bidendriform(max_degree):
-    for P, Q in _pairs("spf", max_degree):
+    """``P``'s split is computed once per block of :func:`_pairs`, and
+    ``Q``'s reduced coproduct once per block in a cache that holds at most
+    one grade's coproducts."""
+    for P, Q, (px, sx), dy in _pairs("spf", max_degree, spp_dendriform_coproducts, reduced_coproduct):
         x, y = LinComb.basis(P), LinComb.basis(Q)
-        dy = reduced_coproduct(y)
-        px, sx = spp_dendriform_coproducts(x)
         lhs_pp, lhs_sp = spp_dendriform_coproducts(spf_prec(x, y))
         lhs_ps, lhs_ss = spp_dendriform_coproducts(spf_succ(x, y))
         yield (P, Q), (
             (
                 "prec-of-prec",
                 lhs_pp,
-                tensor_of(P, Q)
-                + _span(dy, lambda a: spf_prec(P, a), lambda b: b)
-                + _span(px, lambda a: a, lambda b: compose(b, Q))
-                + _span(px, lambda a: spf_prec(a, Q), lambda b: b)
-                + _mix(px, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _tensor_terms(1, P, Q),
+                    _span_terms(dy, lambda a: spf_prec(P, a), lambda b: b),
+                    _span_terms(px, lambda a: a, lambda b: compose(b, Q)),
+                    _span_terms(px, lambda a: spf_prec(a, Q), lambda b: b),
+                    _mix_terms(px, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
             (
                 "succ-of-prec",
                 lhs_sp,
-                _span(sx, lambda a: a, lambda b: compose(b, Q))
-                + _span(sx, lambda a: spf_prec(a, Q), lambda b: b)
-                + _mix(sx, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _span_terms(sx, lambda a: a, lambda b: compose(b, Q)),
+                    _span_terms(sx, lambda a: spf_prec(a, Q), lambda b: b),
+                    _mix_terms(sx, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
             (
                 "prec-of-succ",
                 lhs_ps,
-                _span(px, lambda a: spf_succ(a, Q), lambda b: b)
-                + _span(dy, lambda a: spf_succ(P, a), lambda b: b)
-                + _mix(px, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _span_terms(px, lambda a: spf_succ(a, Q), lambda b: b),
+                    _span_terms(dy, lambda a: spf_succ(P, a), lambda b: b),
+                    _mix_terms(px, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
             (
                 "succ-of-succ",
                 lhs_ss,
-                tensor_of(Q, P)
-                + _span(dy, lambda a: a, lambda b: compose(P, b))
-                + _span(sx, lambda a: spf_succ(a, Q), lambda b: b)
-                + _mix(sx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
+                LinComb(chain(
+                    _tensor_terms(1, Q, P),
+                    _span_terms(dy, lambda a: a, lambda b: compose(P, b)),
+                    _span_terms(sx, lambda a: spf_succ(a, Q), lambda b: b),
+                    _mix_terms(sx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
+                )),
             ),
         )
 
 
 def _check_lemma36(max_degree):
+    """Both sides are read off the spf Gram rows of :func:`_gram_cached`, as
+    :func:`pairing` counts them: <T, R> is an entry, and <P (x) Q, A (x) B>
+    the product <P, A> <Q, B> of two.  A term outside spf has no entry, so a
+    side it enters takes a message naming it, which is a violation."""
     grades = _graded("spf", max_degree)
-    halves = {R: spp_dendriform_coproducts(R) for n in grades if n > 1 for R in grades[n]}
-    for a in range(1, max_degree):
-        for b in range(1, max_degree - a + 1):
-            for P in grades[a]:
-                for Q in grades[b]:
-                    x, y = LinComb.basis(P), LinComb.basis(Q)
-                    prec, succ = spf_prec(x, y), spf_succ(x, y)
-                    xy = tensor_of(P, Q)
-                    for R in grades[a + b]:
-                        z = LinComb.basis(R)
-                        pz, sz = halves[R]
-                        yield (P, Q, R), (
-                            ("prec-adjunction", pairing(prec, z), pairing(xy, pz)),
-                            ("succ-adjunction", pairing(succ, z), pairing(xy, sz)),
-                        )
+    position = {P: i for basis in grades.values() for i, P in enumerate(basis)}
+    gram = {n: _gram_cached("spf", n) for n in grades}
+
+    def outside(keys):
+        return next((f"outside spf: {S.literal()}" for S in keys if S not in position), None)
+
+    def row(x, n):
+        """<x, R> for each R of grade n, in grade order."""
+        terms = [(T, c) for T, c in x.items() if T.n == n]
+        message = outside(T for T, _ in terms)
+        if message:
+            return [message] * len(grades[n])
+        rows = [(c, gram[n][position[T]]) for T, c in terms]
+        return [sum(c * r[j] for c, r in rows) for j in range(len(grades[n]))]
+
+    def entries(half):
+        """A split's terms c * A (x) B as (degree of A, position of A,
+        position of B, c), or the message of a factor outside spf."""
+        message = outside(S for T in half.support() for S in T.factors)
+        if message:
+            return message
+        out = []
+        for T, c in half.items():
+            A, B = T.factors
+            out.append((A.n, position[A], position[B], c))
+        return out
+
+    def pair(P, Q, half):
+        """<P (x) Q, half>; a factor pairs to 0 with a key of another degree."""
+        if isinstance(half, str):
+            return half
+        left, right = gram[P.n][position[P]], gram[Q.n][position[Q]]
+        return sum(c * left[i] * right[j] for a, i, j, c in half if a == P.n)
+
+    halves = {
+        R: tuple(map(entries, spp_dendriform_coproducts(R))) for n in grades if n > 1 for R in grades[n]
+    }
+    for P, Q, x, y in _pairs("spf", max_degree, LinComb.basis, LinComb.basis):
+        n = P.n + Q.n
+        prec, succ = row(spf_prec(x, y), n), row(spf_succ(x, y), n)
+        for j, R in enumerate(grades[n]):
+            pz, sz = halves[R]
+            yield (P, Q, R), (
+                ("prec-adjunction", prec[j], pair(P, Q, pz)),
+                ("succ-adjunction", succ[j], pair(P, Q, sz)),
+            )
 
 
 def _check_theta_dupdend(max_degree):
-    for P, Q in _pairs("sp", max_degree):
+    """theta of ``P`` is computed once per block of :func:`_pairs`, and
+    theta of ``Q`` once per block in a cache that holds at most one grade's
+    images."""
+    for P, Q, tx, ty in _pairs("sp", max_degree, theta, theta):
         x, y = LinComb.basis(P), LinComb.basis(Q)
-        yield (P, Q), (("theta-nwarrow", theta(sp_nwarrow(x, y)), fq_nwarrow(theta(x), theta(y))),)
+        yield (P, Q), (("theta-nwarrow", theta(sp_nwarrow(x, y)), fq_nwarrow(tx, ty)),)
     for n in range(1, max_degree + 1):
         for P in enumerate_family("sp", n):
             x = LinComb.basis(P)

@@ -213,21 +213,35 @@ def rank_kernel(A):
     read off the reduced row echelon form: the result of :func:`_eliminate`
     divided by its last pivot, done once per kernel entry.
     """
+    rank, sparse = _sparse_kernel(A)
+    width = len(A[0]) if A else 0
+    zero = normalize_scalar(0)
+    kernel = []
+    for entries in sparse:
+        v = [zero] * width
+        for column, x in entries:
+            v[column] = x
+        kernel.append(v)
+    return rank, kernel
+
+
+def _sparse_kernel(A):
+    """:func:`rank_kernel` with each kernel vector given by its nonzero
+    entries only, as ``(column, entry)`` pairs: the free column's 1, then the
+    pivot columns in order.  Every other entry of such a vector is zero."""
     width = len(A[0]) if A else 0
     if any(len(row) != width for row in A):
         raise ValueError("ragged matrix")
     M, pivots, d, _, _ = _eliminate(A, width)
     pivot_set = set(pivots)
+    one = normalize_scalar(1)
     kernel = []
-    zero, one = normalize_scalar(0), normalize_scalar(1)
     for free in range(width):
         if free in pivot_set:
             continue
-        v = [zero] * width
-        v[free] = one
-        for idx, pc in enumerate(pivots):
-            v[pc] = normalize_scalar(-M[idx][free] / d)
-        kernel.append(v)
+        entries = [(free, one)]
+        entries += ((pc, normalize_scalar(-row[free] / d)) for pc, row in zip(pivots, M) if row[free])
+        kernel.append(entries)
     return len(pivots), kernel
 
 

@@ -26,7 +26,7 @@ from math import factorial
 
 from .algebra import LinComb, _extension_sets, _gram_basis, _gram_of, as_lincomb
 from .fqsym import Permutation
-from .linalg import rank_kernel
+from .linalg import _sparse_kernel
 from .poset_core import (
     DoublePoset,
     SpecialPoset,
@@ -280,21 +280,21 @@ def pairing_kernel_basis(family, n):
     basis = _gram_basis(family, n)
     kernel = _theta_kernel(basis, n)
     if kernel is None:
-        _, kernel = rank_kernel(_gram_of(basis))
-    # a kernel vector is nonzero only on the pivot columns and its free one
-    return [LinComb((P, c) for P, c in zip(basis, vec) if c) for vec in kernel]
+        _, kernel = _sparse_kernel(_gram_of(basis))
+    return [LinComb((basis[j], c) for j, c in entries) for entries in kernel]
 
 
 def _theta_kernel(basis, n):
-    """The kernel of ``Θ`` on a degree-``n`` basis, or None unless every
-    element is special and ``Θ`` has rank ``n!``."""
+    """The kernel of ``Θ`` on a degree-``n`` basis, as :func:`_sparse_kernel`
+    vectors, or None unless every element is special and ``Θ`` has rank
+    ``n!``."""
     if len(basis) < factorial(n) or not all(map(is_special, basis)):
         return None
     rows = {}  # extension word -> its row of Θ
     for j, P in enumerate(basis):
         for word in _extension_sets(P)[0]:
             rows.setdefault(word, [0] * len(basis))[j] = 1
-    rank, kernel = rank_kernel(list(rows.values()))
+    rank, kernel = _sparse_kernel(list(rows.values()))
     return kernel if rank == factorial(n) else None
 
 

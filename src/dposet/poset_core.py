@@ -489,7 +489,11 @@ def restrict(P, labels):
 
 def _restrict(P, keep):
     """:func:`restrict` to the labels of the bitmask ``keep``: each kept
-    vertex's masks, cut to ``keep``, are packed down to the kept bits."""
+    vertex's masks, cut to ``keep``, are packed down to the kept bits.
+
+    The natural order restricts to the natural order, so a special poset
+    packs only its first order and takes the shared natural masks.
+    """
     kept = list(_bits(keep))
     packed = [0] * P.n  # the bit each kept vertex takes after packing
     for j, v in enumerate(kept):
@@ -507,7 +511,9 @@ def _restrict(P, keep):
             rows.append(row)
         return rows
 
-    return DoublePoset._from_masks(len(kept), project(P.up1), project(P.up2))
+    k = len(kept)
+    up2 = _natural_up(k) if isinstance(P, SpecialPoset) else project(P.up2)
+    return DoublePoset._from_masks(k, project(P.up1), up2)
 
 
 def iota(P):

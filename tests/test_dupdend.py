@@ -11,13 +11,14 @@ from dposet.algebra import (
     _half_coproducts,
     format_lincomb,
     lc_product,
+    pairing,
     parse_lincomb,
     reduced_coproduct,
     tensor_of,
 )
 from dposet.dupdend import (
     AXIOM_SUITES,
-    _mix,
+    _mix_terms,
     _span,
     check_axioms,
     prim_tot_basis,
@@ -30,7 +31,15 @@ from dposet.dupdend import (
 from dposet.algebra import Tensor, coproduct
 from dposet.fqsym import fq_nwarrow
 from dposet.morphisms import theta
-from dposet.poset_core import b_plus, compose, enumerate_family, ideals, nwarrow, restrict
+from dposet.poset_core import (
+    SpecialPoset,
+    b_plus,
+    compose,
+    enumerate_family,
+    ideals,
+    nwarrow,
+    restrict,
+)
 
 
 def lc(text):
@@ -320,10 +329,19 @@ def _split_losing_two_vertex_cuts(x, least=False):
     return LinComb((T, c) for T, c in prec.items() if T.factors[0].n != 2), succ
 
 
+def _prec_leaving_spf(x, y):
+    """``prec`` with the first order of every term reversed: each term but an
+    antichain leaves the special plane forests."""
+    return LinComb(
+        (SpecialPoset(T.n, [(b, a) for a, b in T.pairs()]), c) for T, c in spf_prec(x, y).items()
+    )
+
+
 FAULTS = {
     "swapped-nwarrow": ("sp_nwarrow", _swapped_nwarrow),
     "swapped-prec": ("spf_prec", _swapped_prec),
     "lossy-split": ("_half_coproducts", _split_losing_two_vertex_cuts),
+    "prec-leaving-spf": ("spf_prec", _prec_leaving_spf),
 }
 
 
@@ -341,6 +359,8 @@ PLANTED = {
     ("lemma36-adjunction", "lossy-split"): {"prec-adjunction"},
     ("dendriform-hopf", "swapped-prec"): {"reduced-coproduct-of-prec"},
     ("bidendriform", "swapped-prec"): {"prec-of-prec", "succ-of-succ"},
+    ("bidendriform", "lossy-split"): {"prec-of-prec", "prec-of-succ"},
+    ("lemma36-adjunction", "prec-leaving-spf"): {"prec-adjunction", "succ-adjunction"},
 }
 
 
@@ -349,6 +369,28 @@ def test_a_planted_fault_is_reported(monkeypatch, suite, fault):
     monkeypatch.setattr(dupdend, *FAULTS[fault])
     report = check_axioms(suite, max_degree=3)
     assert PLANTED[suite, fault] <= {v["axiom"] for v in report["violations"]}
+
+
+def test_a_term_outside_spf_is_reported_by_name(monkeypatch):
+    # the lemma 3.6 table holds spf keys only; a term it lacks is a violation
+    monkeypatch.setattr(dupdend, *FAULTS["prec-leaving-spf"])
+    report = check_axioms("lemma36-adjunction", max_degree=3)
+    assert "outside spf: SP(2; 2<1)" in {v["got"] for v in report["violations"]}
+
+
+def test_lemma36_table_matches_pairing_through_degree_four():
+    tuples = 0
+    for (P, Q, R), cases in dupdend._check_lemma36(4):
+        x, y, z = LinComb.basis(P), LinComb.basis(Q), LinComb.basis(R)
+        pz, sz = spp_dendriform_coproducts(z)
+        xy = tensor_of(P, Q)
+        want = [
+            ("prec-adjunction", pairing(spf_prec(x, y), z), pairing(xy, pz)),
+            ("succ-adjunction", pairing(spf_succ(x, y), z), pairing(xy, sz)),
+        ]
+        assert list(cases) == want, (P, Q, R)
+        tuples += 1
+    assert tuples == check_axioms("lemma36-adjunction", 4)["tuples_checked"] // 2
 
 
 def test_a_violation_reports_the_side_under_test_as_got(monkeypatch):
@@ -412,7 +454,7 @@ def test_span_and_mix_match_the_tensor_of_route():
             assert _span(tx, left, right) == _span_by_tensor_of(tx, left, right)
     for left in binary:
         for right in binary:
-            assert _mix(tx, ty, left, right) == _mix_by_tensor_of(tx, ty, left, right)
+            assert LinComb(_mix_terms(tx, ty, left, right)) == _mix_by_tensor_of(tx, ty, left, right)
 
 
 def test_half_product_caches_keep_every_entry_of_the_degree_five_suites():

@@ -238,6 +238,18 @@ def test_mask_restrict_matches_the_label_dict_restrict():
             assert got == want and type(got) is type(want), (P, labels)
 
 
+def test_mask_restrict_of_special_posets_matches_both_projected_orders():
+    # a special poset packs only its first order; the reference packs both
+    posets = [P for fam in ("sp", "spp", "pp") for n in range(5) for P in enumerate_family(fam, n)]
+    for P in posets + enumerate_family("dp", 3):
+        for keep in range(1 << P.n):
+            got = poset_core._restrict(P, keep)
+            want = restrict_by_labels(P, [v + 1 for v in range(P.n) if (keep >> v) & 1])
+            assert got == want, (P, keep)
+            natural = got.up2 == SpecialPoset(got.n).up2
+            assert (type(got) is SpecialPoset) == natural, (P, keep)
+
+
 def test_restrict_to_high_labels_costs_no_more_than_the_kept_vertices():
     # Labels past the degree cap are legal; a per-label table would need 2^64 slots here.
     n = 64
