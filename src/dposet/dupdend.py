@@ -117,7 +117,7 @@ def _prec_basis(F, G):
 
 def _forest_ideal(x):
     x = require_augmented(x)
-    for P in x.support():
+    for P, _ in x.items():
         if not is_special_plane_forest(P):
             raise ValueError("not a special plane forest")
     return x
@@ -143,9 +143,8 @@ def spf_prec(x, y):
 def spf_succ(x, y):
     """Right half-product on special plane forests: composition minus the
     left half-product, termwise."""
-    x = _forest_ideal(x)
-    y = _forest_ideal(y)
-    return lc_product(x, y) - spf_prec(x, y)
+    prec = spf_prec(x, y)  # validates both operands
+    return lc_product(x, y) - prec
 
 
 # -- totally primitive elements ---------------------------------------------------

@@ -164,3 +164,47 @@ def test_no_function_in_the_package_inverts_a_matrix():
         for function, line in _calls_to(path.read_text(), "mat_inverse")
     ]
     assert found == []
+
+
+# The one construction path of trusted values: posets from closed masks, and
+# permutations from words known to list 1..n.  Every other builder goes
+# through these, so no value skips a check or the table of derived posets.
+OBJECT_NEW_ALLOWED = {("poset_core.py", "DoublePoset._from_masks"), ("fqsym.py", "Permutation._trusted")}
+
+
+def _object_new_calls(source):
+    """``(qualified function, line)`` of every call of ``object.__new__``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            callee = child.func if isinstance(child, ast.Call) else None
+            if (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == "__new__"
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id == "object"
+            ):
+                found.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_guard_finds_private_constructions():
+    source = (
+        "class P:\n    @classmethod\n    def make(cls):\n        return object.__new__(cls)\n\n"
+        "def compose(P, Q):\n    out = object.__new__(SpecialPoset)\n    return out\n"
+    )
+    assert _object_new_calls(source) == [("P.make", 4), ("compose", 7)]
+
+
+def test_values_are_built_on_one_path():
+    calls = [(path.name, function, line) for path in SOURCES for function, line in _object_new_calls(path.read_text())]
+    assert OBJECT_NEW_ALLOWED <= {(name, function) for name, function, _ in calls}
+    found = [f"{name}:{line} in {function}" for name, function, line in calls if (name, function) not in OBJECT_NEW_ALLOWED]
+    assert found == [], "build through DoublePoset._from_masks or Permutation._trusted:\n" + "\n".join(found)

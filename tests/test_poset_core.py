@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import ideals_by_subsets, restrict_by_labels
 from dposet import poset_core
+from dposet.algebra import LinComb
 from dposet.poset_core import (
     DoublePoset,
     Family,
@@ -329,6 +330,67 @@ def test_b_plus_adds_a_root_below_a_plane_forest():
     assert b_plus(compose(point, point)) == sp(3, (1, 2), (1, 3))
     with pytest.raises(ValueError):
         b_plus(sp(3, (1, 3), (2, 3)))
+
+
+# -- the table of derived special posets ----------------------------------------
+
+
+def test_equal_derived_posets_are_one_object():
+    P = sp(4, (1, 3), (2, 3), (3, 4))
+    assert restrict(P, {2, 3, 4}) is poset_core._restrict(P, 0b1110)
+    assert compose(sp(1), sp(2, (1, 2))) is compose(sp(1), sp(2, (1, 2)))
+    # the kernels share one table: the graft and the product meet in SP(3; 2<3)
+    assert nwarrow(sp(2), sp(1)) is compose(sp(1), sp(2, (1, 2)))
+    assert b_plus(sp(1)) is restrict(sp(3, (1, 2), (1, 3)), {1, 2})
+
+
+def test_a_rebuilt_poset_equals_the_evicted_one():
+    P = sp(5, (1, 3), (2, 3), (3, 5), (4, 5))
+    cuts = poset_core._up_sets(P)
+    old = [poset_core._restrict(P, S) for S in cuts]
+    poset_core._special_poset.cache_clear()
+    new = [poset_core._restrict(P, S) for S in cuts]
+    assert old == new and [hash(Q) for Q in old] == [hash(Q) for Q in new]
+    assert all(a is not b for a, b in zip(old, new))
+    weights = [(Q, i) for i, Q in enumerate(old)]
+    assert LinComb(weights) == LinComb((Q, i) for i, Q in enumerate(new))
+    assert LinComb(weights) == LinComb((SpecialPoset(Q.n, Q.pairs()), i) for Q, i in weights)
+
+
+def _compose_by_pairs(P, Q):
+    n = P.n
+    return SpecialPoset(n + Q.n, P.pairs() + [(a + n, b + n) for a, b in Q.pairs()])
+
+
+def _nwarrow_by_pairs(P, Q):
+    n = P.n
+    grafted = [(a, n + b) for a in range(1, n + 1) if a == n or P.less(a, n) for b in range(1, Q.n + 1)]
+    return SpecialPoset(n + Q.n, _compose_by_pairs(P, Q).pairs() + grafted)
+
+
+def _b_plus_by_pairs(F):
+    return SpecialPoset(F.n + 1, [(1, v) for v in range(2, F.n + 2)] + [(a + 1, b + 1) for a, b in F.pairs()])
+
+
+def _assert_live(P, want):
+    assert P == want and type(P) is SpecialPoset, (P, want)
+    assert P is poset_core._special_poset(want.up1)
+
+
+def test_table_kernels_match_the_pair_list_constructions():
+    # sp posets through degree 4 whose product stays within the degree cap,
+    # spf forests through degree 5 in total
+    specials = [P for n in range(5) for P in enumerate_family("sp", n)]
+    forests = {n: enumerate_family("spf", n) for n in range(6)}
+    pairs = [(P, Q) for P in specials for Q in specials if P.n + Q.n <= 6]
+    pairs += [(F, G) for a in range(6) for b in range(6 - a) for F in forests[a] for G in forests[b]]
+    for P, Q in pairs:
+        _assert_live(compose(P, Q), _compose_by_pairs(P, Q))
+        if P.n and Q.n:
+            _assert_live(nwarrow(P, Q), _nwarrow_by_pairs(P, Q))
+    for n in range(6):
+        for F in forests[n]:
+            _assert_live(b_plus(F), _b_plus_by_pairs(F))
 
 
 def test_classify_nests_families():
