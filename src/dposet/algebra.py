@@ -221,8 +221,14 @@ _SCALAR_TERM = re.compile(
 
 
 def parse_scalar(text):
-    """Parse ``3/2``, ``1+2*I``, ``1/2-3/4I``, ``I``, ``(1+2I)`` and the like."""
+    """Parse ``3/2``, ``1+2*I``, ``1/2-3/4I``, ``I``, ``(1+2I)`` and the like.
+
+    A plain ASCII decimal integer, the common coefficient, skips the term
+    grammar; any other digits take the general route.
+    """
     s = text.strip()
+    if s.isdigit() and s.isascii():
+        return Fraction(int(s))
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1].strip()
     pos = 0
@@ -859,9 +865,12 @@ def _split_signed_terms(s):
     return terms
 
 
+_POSET_TERM = re.compile(r"^(SP|PP|DP)\s*\(")
+
+
 def _parse_basis_key(s):
     s = s.strip()
-    if re.match(r"^(SP|PP|DP)\s*\(", s):
+    if _POSET_TERM.match(s):
         return parse_poset(s)
     if s.startswith("[") or s == "∅" or s.isdigit():
         from .fqsym import parse_permutation
@@ -899,11 +908,14 @@ def parse_lincomb(text):
 def format_lincomb(x):
     """Canonical literal of a combination; inverse of :func:`parse_lincomb`."""
     x = as_lincomb(x)
-    if not x:
-        return "0"
+    return _join_terms((key.literal(), coeff) for key, coeff in x.terms())
+
+
+def _join_terms(terms):
+    """The combination literal of ``(key literal, coefficient)`` pairs in
+    canonical order."""
     pieces = []
-    for key, coeff in x.terms():
-        lit = key.literal()
+    for lit, coeff in terms:
         if coeff == 1:
             pieces.append(("+", lit))
             continue
@@ -917,6 +929,8 @@ def format_lincomb(x):
             pieces.append(("+", f"({s})*{lit}"))
         else:
             pieces.append(("+", f"{s}*{lit}"))
+    if not pieces:
+        return "0"
     sign, body = pieces[0]
     out = body if sign == "+" else "-" + body
     for sign, body in pieces[1:]:

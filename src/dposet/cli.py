@@ -11,6 +11,7 @@ command lines with the offending elements in a trailing comment.
 """
 
 import csv
+import itertools
 import json
 import sys
 
@@ -18,6 +19,7 @@ import click
 
 from .algebra import (
     _gram_cached,
+    _join_terms,
     coproduct,
     format_lincomb,
     format_scalar,
@@ -73,56 +75,97 @@ _format_option = click.option(
 
 
 def _emit(fmt, payload, text_lines, csv_rows):
+    """Print one result in the chosen format.
+
+    Each of ``payload`` (the JSON object), ``text_lines`` and ``csv_rows`` is
+    a function of no arguments, and only the chosen format's is called.
+    ``json`` builds the whole object and prints it at once; ``text`` and
+    ``csv`` print each line or row as their iterable yields it, so a
+    generator streams its rows instead of holding them all.
+    """
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload(), indent=2))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in csv_rows:
+        for row in csv_rows():
             writer.writerow(row)
     else:
-        for line in text_lines:
+        for line in text_lines():
             click.echo(line)
 
 
-def _scalar_rows(matrix):
-    return [[format_scalar(entry) for entry in row] for row in matrix]
+def _emit_matrix(fmt, matrix, integral=False):
+    """A square matrix of scalars.  An ``integral`` one (a Gram matrix) holds
+    only ``int`` entries, which ``str`` and ``%d`` print as
+    :func:`format_scalar` does; its text rows take one ``%d`` template
+    each."""
+    cell = str if integral else format_scalar
 
+    def rows():
+        return (list(map(cell, row)) for row in matrix)
 
-def _emit_matrix(fmt, rows):
-    rows = _scalar_rows(rows)
-    _emit(fmt, {"kind": "matrix", "rows": rows}, [" ".join(r) for r in rows], rows)
+    def lines():
+        if integral:
+            template = " ".join(["%d"] * len(matrix))
+            return (template % tuple(row) for row in matrix)
+        return (" ".join(row) for row in rows())
+
+    _emit(fmt, lambda: {"kind": "matrix", "rows": list(rows())}, lines, rows)
 
 
 def _emit_lincomb(fmt, value):
-    lit = format_lincomb(value)
-    terms = [
-        {"coefficient": format_scalar(c), "key": k.literal()} for k, c in value.terms()
-    ]
+    """Text prints the literal alone; JSON and CSV format each key once."""
+
+    def keyed():
+        return [(key.literal(), coeff) for key, coeff in value.terms()]
+
+    def payload():
+        terms = keyed()
+        return {
+            "kind": "lincomb",
+            "value": _join_terms(terms),
+            "terms": [{"coefficient": format_scalar(c), "key": k} for k, c in terms],
+        }
+
     _emit(
         fmt,
-        {"kind": "lincomb", "value": lit, "terms": terms},
-        [lit],
-        [["coefficient", "key"], *[[t["coefficient"], t["key"]] for t in terms]],
+        payload,
+        lambda: [format_lincomb(value)],
+        lambda: [["coefficient", "key"], *([format_scalar(c), k] for k, c in keyed())],
     )
 
 
-def _emit_elements(fmt, family, degree, elements):
-    _emit(
-        fmt,
-        {
+def _emit_elements(fmt, family, degree, items, literal):
+    """The literals of ``items`` under ``literal``, made as they print in
+    text and CSV."""
+
+    def payload():
+        elements = [literal(x) for x in items]
+        return {
             "kind": "elements",
             "family": family,
             "degree": degree,
             "count": len(elements),
             "elements": elements,
-        },
-        elements,
-        [["literal"], *[[e] for e in elements]],
+        }
+
+    _emit(
+        fmt,
+        payload,
+        lambda: map(literal, items),
+        lambda: itertools.chain([["literal"]], ([literal(x)] for x in items)),
     )
 
 
-def _emit_literal(fmt, value):
-    _emit(fmt, {"kind": "literal", "value": value}, [value], [["value"], [value]])
+def _emit_value(fmt, kind, value, text):
+    """One value: the JSON object ``{"kind": kind, "value": value}``, or
+    ``text`` alone in text and CSV."""
+    _emit(
+        fmt,
+        lambda: {"kind": kind, "value": value},
+        lambda: [text],
+        lambda: [["value"], [text]],
+    )
 
 
 def _matrix_argument(text):
@@ -165,12 +208,14 @@ def _emit_report(fmt, payload, command, keys):
     """Print a verification report: ``pass``, or each violation as the
     re-runnable ``command`` and then a failure exit."""
     violations = payload["violations"]
-    if not violations:
-        _emit(fmt, payload, ["pass"], _violation_csv([], keys))
-        return
-    lines = _violation_lines(command, violations, keys)
-    _emit(fmt, payload, lines, _violation_csv(violations, keys))
-    raise VerificationFailure(command)
+    _emit(
+        fmt,
+        lambda: payload,
+        lambda: _violation_lines(command, violations, keys) if violations else ["pass"],
+        lambda: _violation_csv(violations, keys),
+    )
+    if violations:
+        raise VerificationFailure(command)
 
 
 @click.group(name="dposet")
@@ -184,8 +229,7 @@ def cli():
 @_format_option
 def enumerate_cmd(family, degree, fmt):
     """List the canonical members of a family at one degree."""
-    basis = enumerate_family(family, degree)
-    _emit_elements(fmt, family, degree, [format_poset(P) for P in basis])
+    _emit_elements(fmt, family, degree, enumerate_family(family, degree), format_poset)
 
 
 @cli.command(name="classify")
@@ -198,9 +242,9 @@ def classify_cmd(poset, fmt):
     families = [f.value for f in Family if f in tags]
     _emit(
         fmt,
-        {"kind": "classification", "poset": format_poset(P), "families": families},
-        families,
-        [["family"], *[[f] for f in families]],
+        lambda: {"kind": "classification", "poset": format_poset(P), "families": families},
+        lambda: families,
+        lambda: [["family"], *[[f] for f in families]],
     )
 
 
@@ -257,7 +301,7 @@ def op_cmd(name, operands, anchor, fmt):
 def pair_cmd(left, right, fmt):
     """Pair two combinations; prints the exact scalar."""
     value = format_scalar(pairing(parse_lincomb(left), parse_lincomb(right)))
-    _emit(fmt, {"kind": "scalar", "value": value}, [value], [["value"], [value]])
+    _emit_value(fmt, "scalar", value, value)
 
 
 @cli.command(name="gram")
@@ -266,7 +310,7 @@ def pair_cmd(left, right, fmt):
 @_format_option
 def gram_cmd(family, degree, fmt):
     """Pairing matrix of a family basis at one degree."""
-    _emit_matrix(fmt, _gram_cached(family, degree))
+    _emit_matrix(fmt, _gram_cached(family, degree), integral=True)
 
 
 @cli.command(name="kernel")
@@ -276,7 +320,7 @@ def gram_cmd(family, degree, fmt):
 def kernel_cmd(family, degree, fmt):
     """Basis of the pairing radical of a family at one degree."""
     kernel = pairing_kernel_basis(family, degree)
-    _emit_elements(fmt, family, degree, [format_lincomb(v) for v in kernel])
+    _emit_elements(fmt, family, degree, kernel, format_lincomb)
 
 
 @cli.command(name="theta")
@@ -300,7 +344,8 @@ def upsilon_cmd(operand, fmt):
 @_format_option
 def phi_cmd(permutation, fmt):
     """Special plane poset attached to a permutation."""
-    _emit_literal(fmt, format_poset(phi_map(parse_permutation(permutation))))
+    value = format_poset(phi_map(parse_permutation(permutation)))
+    _emit_value(fmt, "literal", value, value)
 
 
 @cli.command(name="psi")
@@ -308,7 +353,8 @@ def phi_cmd(permutation, fmt):
 @_format_option
 def psi_cmd(poset, fmt):
     """Permutation attached to a plane poset."""
-    _emit_literal(fmt, psi_map(parse_poset(poset)).literal())
+    value = psi_map(parse_poset(poset)).literal()
+    _emit_value(fmt, "literal", value, value)
 
 
 @cli.command(name="bruhat-interval")
@@ -317,8 +363,7 @@ def psi_cmd(poset, fmt):
 def bruhat_interval_cmd(poset, fmt):
     """Whether the linear extensions form a weak-order down-interval."""
     value = bruhat_interval_check(parse_poset(poset))
-    text = "true" if value else "false"
-    _emit(fmt, {"kind": "bool", "value": value}, [text], [["value"], [text]])
+    _emit_value(fmt, "bool", value, "true" if value else "false")
 
 
 @cli.command(name="diagonalize")
@@ -327,20 +372,19 @@ def bruhat_interval_cmd(poset, fmt):
 def diagonalize_cmd(matrix, fmt):
     """Congruence certificate of a symmetric unimodular integer matrix."""
     cert = congruence_diagonalize(_matrix_argument(matrix))
-    payload = {"kind": "certificate", **cert.as_dict()}
 
     def join(rows):
         return " | ".join(" ".join(str(x) for x in row) for row in rows)
 
     _emit(
         fmt,
-        payload,
-        [
+        lambda: {"kind": "certificate", **cert.as_dict()},
+        lambda: [
             "blocks: " + " ".join(cert.blocks),
             "transform: " + join(cert.transform),
             "block-matrix: " + join(cert.block_matrix),
         ],
-        [
+        lambda: [
             ["section", "row"],
             ["blocks", " ".join(cert.blocks)],
             *[["transform", " ".join(str(x) for x in row)] for row in cert.transform],
@@ -395,15 +439,15 @@ def decorations_cmd(family, order, fmt):
     decorations = [format_scalar(c) for c in counts.coefficients]
     _emit(
         fmt,
-        {
+        lambda: {
             "kind": "series",
             "family": family,
             "order": order,
             "poincare": [format_scalar(c) for c in poincare.coefficients],
             "decorations": decorations,
         },
-        [" ".join(decorations)],
-        [["degree", "count"], *[[str(i), c] for i, c in enumerate(decorations)]],
+        lambda: [" ".join(decorations)],
+        lambda: [["degree", "count"], *[[str(i), c] for i, c in enumerate(decorations)]],
     )
 
 

@@ -117,8 +117,11 @@ def _pair_code(n, *ups):
     flat = []
     for up in ups:
         for v in range(n):
-            for w in _bits(up[v]):
-                flat += (v + 1, w + 1)
+            m = up[v]
+            while m:
+                low = m & -m
+                flat += (v + 1, low.bit_length())
+                m ^= low
         flat.append(0)
     return bytes(flat) if n < 256 else tuple(flat)
 
@@ -176,20 +179,36 @@ class DoublePoset:
         return bool((up[a - 1] >> (b - 1)) & 1)
 
     def pairs(self, order=1):
-        """Sorted transitive-closure pairs ``(a, b)`` with ``a < b`` in the order."""
+        """Sorted transitive-closure pairs ``(a, b)`` with ``a < b`` in the order.
+
+        The walk runs by lower label and then by upper label, so it is sorted.
+        """
         up = self.up1 if order == 1 else self.up2
-        return sorted((v + 1, w + 1) for v in range(self.n) for w in _bits(up[v]))
+        return [(v + 1, w + 1) for v in range(self.n) for w in _bits(up[v])]
 
     def covers(self, order=1):
-        """Sorted covering pairs (Hasse edges) of the chosen order."""
+        """Sorted covering pairs (Hasse edges) of the chosen order.
+
+        The upper covers of ``v`` are its upper bounds minus everything above
+        one of them; reading each cover mask from its low bit gives the pairs
+        in order.
+        """
         up = self.up1 if order == 1 else self.up2
-        down = self.down1 if order == 1 else self.down2
         out = []
         for v in range(self.n):
-            for w in _bits(up[v]):
-                if not (up[v] & down[w]):
-                    out.append((v + 1, w + 1))
-        return sorted(out)
+            above = up[v]
+            beyond = 0
+            m = above
+            while m:
+                low = m & -m
+                beyond |= up[low.bit_length() - 1]
+                m ^= low
+            m = above & ~beyond
+            while m:
+                low = m & -m
+                out.append((v + 1, low.bit_length()))
+                m ^= low
+        return out
 
     def sort_key(self):
         """Orders like ``(n, pairs(1), pairs(2))``, in a compact form."""

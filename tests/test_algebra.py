@@ -84,6 +84,28 @@ def test_zero_denominator_is_a_bad_scalar_literal(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("text", ["7", "007", " 7 ", "(7)"])
+def test_plain_integer_scalars_parse_as_the_general_route_does(text):
+    """A plain ASCII integer skips the term grammar; writing it as ``n/1``
+    sends the same digits through the grammar."""
+    general = parse_scalar(text.replace("7", "7/1"))
+    value = parse_scalar(text)
+    assert type(value) is type(general) is Fraction
+    assert value == general == 7
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "\u00bd", "3\u00b2"])
+def test_non_ascii_number_signs_stay_bad_scalar_literals(text):
+    with pytest.raises(ValueError, match=f"^bad scalar literal: {re.escape(repr(text))}$"):
+        parse_scalar(text)
+
+
+def test_non_ascii_decimal_digits_still_parse():
+    # ARABIC-INDIC DIGIT THREE is a decimal digit to the term grammar
+    assert parse_scalar("\u0663") == Fraction(3)
+    assert type(parse_scalar("\u0663")) is Fraction
+
+
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         GaussRat(1, 1) / GaussRat(0, 0)

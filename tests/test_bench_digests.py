@@ -1,7 +1,7 @@
 """CLI output stays byte-identical to the benchmark's recorded digests.
 
 The ``suites`` and ``special`` workloads of ``perfbench`` run on their tiny
-operands, and the ``suites`` workload at full size too, through
+operands and at full size, through
 :func:`dposet.cli.run`; each stdout must hash to the digest that
 ``perfbench/data/expected.json`` records for it.  The file is only read;
 ``perfbench/record.py`` re-records it.
@@ -54,3 +54,13 @@ def test_full_size_suite_reports_match_the_recorded_digests(workloads, capsys):
     invocations = workloads.invocations("suites", 0, tiny=False)
     assert len(invocations) == 10
     assert _wrong_outputs(workloads, capsys, "suites", 0, "full") == []
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_full_size_special_outputs_match_the_recorded_digests(workloads, capsys, seed):
+    """The benchmark's own ``special`` invocations on the development and
+    the held-out operand sets: 150-term ``op``/``theta``/``pair`` operands
+    of sp 5, ``upsilon``, and ``gram``/``kernel`` of sp 4."""
+    invocations = workloads.invocations("special", seed, tiny=False)
+    assert len(invocations) == 8
+    assert _wrong_outputs(workloads, capsys, "special", seed, "full") == []

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, output formats, schema
 conformance, and round-trips of printed literals."""
 
+import hashlib
 import importlib.resources
 import json
 import os
@@ -370,6 +371,26 @@ def test_json_outputs_validate_against_schemas(cli, argv):
     assert code == 0
     payload = json.loads(out)
     validate_against_schema(payload)
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["outputs"], ids=lambda c: " ".join(c["argv"][:2] + c["argv"][-1:])
+)
+def test_outputs_match_the_recorded_digests(cli, case):
+    """JSON, CSV and text outputs of small operands hash as recorded; each
+    format is built on its own, and all three must stay byte-identical."""
+    code, out, err = cli(*case["argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+def test_recorded_digests_cover_every_format_of_the_listed_verbs():
+    verbs = {(c["argv"][0], c["argv"][-1]) for c in GOLDEN["outputs"]}
+    for verb in ("op", "theta", "pair", "gram", "kernel", "enumerate", "diagonalize", "isometry"):
+        assert {(verb, f) for f in ("json", "csv", "text")} <= verbs
 
 
 def test_json_failure_report_validates_too(cli):

@@ -136,6 +136,46 @@ def test_order_masks_sort_like_their_pair_lists():
         assert pairs == sorted(pairs)
 
 
+def _reference_pairs(P, order):
+    """Every ``(a, b)`` with ``a < b`` in the order, by label tests."""
+    labels = range(1, P.n + 1)
+    return sorted((a, b) for a in labels for b in labels if P.less(a, b, order))
+
+
+def _reference_covers(P, order):
+    """The pairs with nothing strictly between them."""
+    return [
+        (a, b)
+        for a, b in _reference_pairs(P, order)
+        if not any(P.less(a, c, order) and P.less(c, b, order) for c in range(1, P.n + 1))
+    ]
+
+
+def _posets_for_the_mask_walks():
+    for family in ("sp", "spp", "pp", "pf", "wnp"):
+        for n in range(5):
+            yield from enumerate_family(family, n)
+    yield from enumerate_family("sp", 5)
+    yield from enumerate_family("dp", 3)
+
+
+def test_cover_and_pair_walks_match_the_label_tests():
+    """``covers``, ``pairs`` and ``sort_key`` read the masks in order; each
+    is checked against its definition on every poset of sp/spp/pp/pf/wnp
+    through degree 4, of sp 5 and of dp 3."""
+    posets = set(_posets_for_the_mask_walks())
+    assert len(posets) == 4_840
+    for P in posets:
+        pairs1, pairs2 = _reference_pairs(P, 1), _reference_pairs(P, 2)
+        assert P.pairs(1) == pairs1 and P.pairs(2) == pairs2, P
+        assert P.covers(1) == _reference_covers(P, 1), P
+        assert P.covers(2) == _reference_covers(P, 2), P
+        code = [x for pair in pairs1 for x in pair] + [0] + [x for pair in pairs2 for x in pair] + [0]
+        assert P.sort_key() == (P.n, bytes(code)), P
+    by_key = sorted(posets, key=DoublePoset.sort_key)
+    assert by_key == sorted(posets, key=lambda P: (P.n, _reference_pairs(P, 1), _reference_pairs(P, 2)))
+
+
 # Degree-6 sizes of the heap-ordered families: heap orders (OEIS A006455),
 # n! heap-ordered forests and special plane posets, large Schroeder numbers
 # without N, Catalan numbers of plane forests.
