@@ -838,31 +838,16 @@ def antipode(x):
 # -- linear-combination literals ---------------------------------------------------
 
 
-def _split_signed_terms(s):
-    terms = []
-    depth = 0
-    sign = 1
-    cur = ""
-    for ch in s:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-":
-            if cur.strip():
-                terms.append((sign, cur))
-                cur = ""
-                sign = 1
-            if ch == "-":
-                sign = -sign
-            continue
-        cur += ch
-    if depth != 0:
-        raise ValueError(f"unbalanced brackets: {s!r}")
-    if not cur.strip():
-        raise ValueError(f"bad lincomb literal: {s!r}")
-    terms.append((sign, cur))
-    return terms
+# The characters that shape a combination literal: brackets, signs and ``*``.
+_LINCOMB_MARK = re.compile(r"[][()+*-]")
+
+
+def _cut(s, start, star, end, pad):
+    """The coefficient text (None without a ``*``) and the key text of the
+    term ``s[start:end]`` whose last top-level ``*`` is at ``star``."""
+    if star < 0:
+        return None, s[start:end]
+    return pad + s[start:star], s[star + 1 : end]
 
 
 _POSET_TERM = re.compile(r"^(SP|PP|DP)\s*\(")
@@ -880,28 +865,50 @@ def _parse_basis_key(s):
 
 
 def parse_lincomb(text):
-    """Parse a combination literal like ``3/2*SP(2; 1<2) - SP(2;) + 2*21``."""
+    """Parse a combination literal like ``3/2*SP(2; 1<2) - SP(2;) + 2*21``.
+
+    One scan over the brackets, signs and ``*`` splits the literal.  Outside
+    brackets a ``+`` or ``-`` ends a nonblank term (signs in a row multiply),
+    and a term's last ``*`` splits its coefficient from its basis key.  The
+    terms are parsed after the scan, so a bracket error is reported first.
+    """
     s = text.strip()
     if s == "0":
         return LinComb.zero()
+    terms = []  # (sign, coefficient text or None, key text)
+    depth = 0
+    sign = 1
+    start = 0  # where the current term's text starts
+    star = -1  # the current term's last '*' outside brackets
+    pad = ""  # blank text before signs that ended no term; it leads the term
+    for m in _LINCOMB_MARK.finditer(s):
+        ch = m.group()
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif depth == 0:
+            at = m.start()
+            if ch == "*":
+                star = at
+                continue
+            if s[start:at].strip():
+                terms.append((sign, *_cut(s, start, star, at, pad)))
+                sign, pad = 1, ""
+            else:
+                pad += s[start:at]
+            if ch == "-":
+                sign = -sign
+            start, star = at + 1, -1
+    if depth != 0:
+        raise ValueError(f"unbalanced brackets: {s!r}")
+    if not s[start:].strip():
+        raise ValueError(f"bad lincomb literal: {s!r}")
+    terms.append((sign, *_cut(s, start, star, len(s), pad)))
     out = []
-    for sign, term in _split_signed_terms(s):
-        depth = 0
-        split_at = None
-        for idx, ch in enumerate(term):
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            elif ch == "*" and depth == 0:
-                split_at = idx
-        if split_at is None:
-            coeff = 1
-            body = term
-        else:
-            coeff = parse_scalar(term[:split_at])
-            body = term[split_at + 1 :]
-        out.append((_parse_basis_key(body), sign * coeff))
+    for sign, coeff, key in terms:
+        coeff = 1 if coeff is None else parse_scalar(coeff)
+        out.append((_parse_basis_key(key), sign * coeff))
     return LinComb(out)
 
 

@@ -5,17 +5,29 @@ Every verb wraps exactly one library operation.  All numeric output is exact
 plain text (one result per line), JSON (objects tagged with a ``kind`` field
 matching the schemas shipped under :mod:`dposet.schemas`), or CSV.
 
-Exit codes: 0 on success, 1 on a domain or usage error, 2 when a verification
-command finds violations.  Verification failures are printed as re-runnable
-command lines with the offending elements in a trailing comment.
+``dposet --help`` lists every verb; ``dposet VERB --help`` lists the verb's
+operands and options, with their choices and defaults.  An option reads
+``--opt value`` or ``--opt=value`` anywhere among the operands, and the last
+of a repeated option wins.  Before ``--`` an argument that starts with ``-``
+is an option; after it every argument is an operand, so an operand such as
+``-2*SP(1;)`` goes after ``--``.  Only the parser of the verb being run is
+built; the listing of all verbs only for ``--help`` or a bad verb.
+
+Exit codes: 0 on success and after ``--help``, 1 on a domain or usage error,
+2 when a verification command finds violations.  A usage error (an unknown
+verb or option, a bad choice or integer, a missing option or operand, a
+wrong operand count) prints the verb's usage and an ``error:`` line on
+stderr, a domain error the ``error:`` line alone.  Verification failures are
+printed as re-runnable command lines with the offending elements in a
+trailing comment.
 """
 
+import argparse
 import csv
 import itertools
 import json
+import os
 import sys
-
-import click
 
 from .algebra import (
     _gram_cached,
@@ -64,14 +76,24 @@ class VerificationFailure(Exception):
 
 _FAMILY_CHOICES = tuple(f.value for f in Family)
 
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    show_default=True,
-    help="Output format.",
-)
+
+# -- output ------------------------------------------------------------------------
+
+
+def _write_lines(lines):
+    """Write each of ``lines`` and a newline to stdout, 1,024 lines a write:
+    a streamed output holds one batch of text at a time, and an unbuffered
+    stdout (``PYTHONUNBUFFERED``) makes one system call per batch, not per
+    line."""
+    lines = iter(lines)
+    write = sys.stdout.write
+    while batch := list(itertools.islice(lines, 1024)):
+        batch.append("")
+        write("\n".join(batch))
+
+
+def _write_csv(rows):
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _emit(fmt, payload, text_lines, csv_rows):
@@ -84,33 +106,50 @@ def _emit(fmt, payload, text_lines, csv_rows):
     generator streams its rows instead of holding them all.
     """
     if fmt == "json":
-        click.echo(json.dumps(payload(), indent=2))
+        sys.stdout.write(json.dumps(payload(), indent=2) + "\n")
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in csv_rows():
-            writer.writerow(row)
+        _write_csv(csv_rows())
     else:
-        for line in text_lines():
-            click.echo(line)
+        _write_lines(text_lines())
 
 
 def _emit_matrix(fmt, matrix, integral=False):
-    """A square matrix of scalars.  An ``integral`` one (a Gram matrix) holds
-    only ``int`` entries, which ``str`` and ``%d`` print as
-    :func:`format_scalar` does; its text rows take one ``%d`` template
-    each."""
+    """A square matrix of scalars; its JSON object is ``{"kind": "matrix",
+    "rows": ...}`` with the cells as strings.
+
+    Every format writes a row at a time.  JSON comes out byte for byte as
+    ``json.dumps(payload, indent=2)`` prints it; a cell is quoted as is,
+    since :func:`format_scalar` prints only digits, ``/``, ``+``, ``-``,
+    ``*`` and ``I``.  An ``integral`` matrix (a Gram matrix) holds only
+    ``int`` entries, which ``%d`` prints as :func:`format_scalar` does, so
+    each of its text and JSON rows takes one ``%d`` template.
+    """
     cell = str if integral else format_scalar
 
     def rows():
         return (list(map(cell, row)) for row in matrix)
 
-    def lines():
+    def joined(sep, quoted):
+        """Each row's cells, each as ``quoted % cell``, joined by ``sep``."""
         if integral:
-            template = " ".join(["%d"] * len(matrix))
+            template = sep.join([quoted % "%d"] * len(matrix))
             return (template % tuple(row) for row in matrix)
-        return (" ".join(row) for row in rows())
+        return (sep.join([quoted % c for c in cells]) for cells in rows())
 
-    _emit(fmt, lambda: {"kind": "matrix", "rows": list(rows())}, lines, rows)
+    if fmt == "csv":
+        _write_csv(rows())
+        return
+    write = sys.stdout.write
+    if fmt == "json":
+        write('{\n  "kind": "matrix",\n  "rows": [')
+        sep = "\n"
+        for row in joined(",\n      ", '"%s"'):
+            write(sep + "    [\n      " + row + "\n    ]")
+            sep = ",\n"
+        write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+    else:
+        for row in joined(" ", "%s"):
+            write(row + "\n")
 
 
 def _emit_lincomb(fmt, value):
@@ -218,23 +257,52 @@ def _emit_report(fmt, payload, command, keys):
         raise VerificationFailure(command)
 
 
-@click.group(name="dposet")
-def cli():
-    """Exact computations with double posets, permutations, and pairings."""
+# -- verbs -------------------------------------------------------------------------
+
+# verb name -> (function, its add_argument calls as (names, keywords))
+_VERBS = {}
+
+# verb group -> description; "" is ``dposet`` itself
+_GROUPS = {
+    "": "Exact computations with double posets, permutations, and pairings.",
+    "isometry": "Isometries between integer pairing matrices.",
+}
 
 
-@cli.command(name="enumerate")
-@click.option("--family", required=True, type=click.Choice(_FAMILY_CHOICES))
-@click.option("--degree", required=True, type=int)
-@_format_option
+def _argument(*names, **keywords):
+    return names, keywords
+
+
+_FORMAT = _argument(
+    "--format",
+    dest="fmt",
+    choices=("text", "json", "csv"),
+    default="text",
+    help="output format (default: %(default)s)",
+)
+_FAMILY = _argument("--family", required=True, choices=_FAMILY_CHOICES, help="poset family")
+_DEGREE = _argument("--degree", required=True, type=int, help="degree of the basis")
+
+
+def _verb(name, *arguments):
+    """Register the decorated function as verb ``name``, called with the
+    parsed ``arguments`` and ``--format`` as keywords.  Its docstring is the
+    verb's help, and the first line its summary in the listing."""
+
+    def register(fn):
+        _VERBS[name] = (fn, (*arguments, _FORMAT))
+        return fn
+
+    return register
+
+
+@_verb("enumerate", _FAMILY, _DEGREE)
 def enumerate_cmd(family, degree, fmt):
     """List the canonical members of a family at one degree."""
     _emit_elements(fmt, family, degree, enumerate_family(family, degree), format_poset)
 
 
-@cli.command(name="classify")
-@click.argument("poset")
-@_format_option
+@_verb("classify", _argument("poset", help="double poset literal"))
 def classify_cmd(poset, fmt):
     """Name every proper family containing a double poset."""
     P = parse_poset(poset)
@@ -258,23 +326,24 @@ def _nwarrow(x, y):
     return sp_nwarrow(x, y)
 
 
-@cli.command(name="op")
-@click.argument("name", type=click.Choice(_OP_NAMES))
-@click.argument("operands", nargs=-1)
-@click.option(
-    "--anchor",
-    type=click.Choice(["greatest", "least"]),
-    default="greatest",
-    show_default=True,
-    help="Splitting vertex for delta-prec/delta-succ: the greatest secondary "
-    "label (special-poset convention) or the least (plane convention).",
+@_verb(
+    "op",
+    _argument("name", choices=_OP_NAMES, help="operation"),
+    _argument("operands", nargs="*", help="combination literals: one or two"),
+    _argument(
+        "--anchor",
+        choices=("greatest", "least"),
+        default="greatest",
+        help="splitting vertex for delta-prec/delta-succ: the greatest secondary "
+        "label (special-poset convention) or the least (plane convention) "
+        "(default: %(default)s)",
+    ),
 )
-@_format_option
 def op_cmd(name, operands, anchor, fmt):
     """Apply a product, coproduct, or half operation to combinations."""
     arity = 1 if name in _UNARY_OPS else 2
     if len(operands) != arity:
-        raise click.UsageError(f"op {name} takes exactly {arity} operand(s)")
+        raise ValueError(f"op {name} takes exactly {arity} operand(s)")
     combs = [parse_lincomb(text) for text in operands]
     if name == "product":
         out = lc_product(*combs)
@@ -294,81 +363,67 @@ def op_cmd(name, operands, anchor, fmt):
     _emit_lincomb(fmt, out)
 
 
-@cli.command(name="pair")
-@click.argument("left")
-@click.argument("right")
-@_format_option
+@_verb(
+    "pair",
+    _argument("left", help="combination literal"),
+    _argument("right", help="combination literal"),
+)
 def pair_cmd(left, right, fmt):
     """Pair two combinations; prints the exact scalar."""
     value = format_scalar(pairing(parse_lincomb(left), parse_lincomb(right)))
     _emit_value(fmt, "scalar", value, value)
 
 
-@cli.command(name="gram")
-@click.option("--family", required=True, type=click.Choice(_FAMILY_CHOICES))
-@click.option("--degree", required=True, type=int)
-@_format_option
+@_verb("gram", _FAMILY, _DEGREE)
 def gram_cmd(family, degree, fmt):
     """Pairing matrix of a family basis at one degree."""
     _emit_matrix(fmt, _gram_cached(family, degree), integral=True)
 
 
-@cli.command(name="kernel")
-@click.option("--family", required=True, type=click.Choice(_FAMILY_CHOICES))
-@click.option("--degree", required=True, type=int)
-@_format_option
+@_verb("kernel", _FAMILY, _DEGREE)
 def kernel_cmd(family, degree, fmt):
     """Basis of the pairing radical of a family at one degree."""
     kernel = pairing_kernel_basis(family, degree)
     _emit_elements(fmt, family, degree, kernel, format_lincomb)
 
 
-@cli.command(name="theta")
-@click.argument("operand")
-@_format_option
+@_verb("theta", _argument("operand", help="combination of special posets"))
 def theta_cmd(operand, fmt):
     """Sum of linear extensions of a special-poset combination."""
     _emit_lincomb(fmt, theta_map(parse_lincomb(operand)))
 
 
-@cli.command(name="upsilon")
-@click.argument("operand")
-@_format_option
+@_verb("upsilon", _argument("operand", help="combination of special posets"))
 def upsilon_cmd(operand, fmt):
     """Projection onto heap-ordered forests along the kernel of theta."""
     _emit_lincomb(fmt, upsilon_map(parse_lincomb(operand)))
 
 
-@cli.command(name="phi")
-@click.argument("permutation")
-@_format_option
+@_verb("phi", _argument("permutation", help="permutation literal"))
 def phi_cmd(permutation, fmt):
     """Special plane poset attached to a permutation."""
     value = format_poset(phi_map(parse_permutation(permutation)))
     _emit_value(fmt, "literal", value, value)
 
 
-@cli.command(name="psi")
-@click.argument("poset")
-@_format_option
+@_verb("psi", _argument("poset", help="plane poset literal"))
 def psi_cmd(poset, fmt):
     """Permutation attached to a plane poset."""
     value = psi_map(parse_poset(poset)).literal()
     _emit_value(fmt, "literal", value, value)
 
 
-@cli.command(name="bruhat-interval")
-@click.argument("poset")
-@_format_option
+@_verb("bruhat-interval", _argument("poset", help="double poset literal"))
 def bruhat_interval_cmd(poset, fmt):
     """Whether the linear extensions form a weak-order down-interval."""
     value = bruhat_interval_check(parse_poset(poset))
     _emit_value(fmt, "bool", value, "true" if value else "false")
 
 
-@cli.command(name="diagonalize")
-@click.argument("matrix")
-@_format_option
+_MATRIX_HELP = "JSON array of integer rows"
+
+
+@_verb("diagonalize", _argument("matrix", help=_MATRIX_HELP))
 def diagonalize_cmd(matrix, fmt):
     """Congruence certificate of a symmetric unimodular integer matrix."""
     cert = congruence_diagonalize(_matrix_argument(matrix))
@@ -393,15 +448,11 @@ def diagonalize_cmd(matrix, fmt):
     )
 
 
-@cli.group(name="isometry")
-def isometry_group():
-    """Isometries between integer pairing matrices."""
-
-
-@isometry_group.command(name="build")
-@click.argument("source_gram")
-@click.argument("target_gram")
-@_format_option
+@_verb(
+    "isometry build",
+    _argument("source_gram", help=_MATRIX_HELP),
+    _argument("target_gram", help=_MATRIX_HELP),
+)
 def isometry_build_cmd(source_gram, target_gram, fmt):
     """Gaussian-rational S with S^T A S = B for unimodular symmetric A, B."""
     S = build_isometry(_matrix_argument(source_gram), _matrix_argument(target_gram))
@@ -411,15 +462,16 @@ def isometry_build_cmd(source_gram, target_gram, fmt):
 _ISO_KEYS = ("check", "degree", "elements", "expected", "got")
 
 
-@isometry_group.command(name="verify")
-@click.option(
-    "--variant",
-    type=click.Choice(ISOMETRY_VARIANTS),
-    default="derived",
-    show_default=True,
+@_verb(
+    "isometry verify",
+    _argument(
+        "--variant",
+        choices=ISOMETRY_VARIANTS,
+        default="derived",
+        help="isometry table (default: %(default)s)",
+    ),
+    _argument("--max-degree", type=int, default=2, help="highest degree checked (default: %(default)s)"),
 )
-@click.option("--max-degree", type=int, default=2, show_default=True)
-@_format_option
 def isometry_verify_cmd(variant, max_degree, fmt):
     """Check the plane-to-special isometry tables degree by degree."""
     spec = plane_to_special_isometry(max_degree=max_degree, variant=variant)
@@ -428,10 +480,11 @@ def isometry_verify_cmd(variant, max_degree, fmt):
     _emit_report(fmt, {"kind": "isometry_report", **report}, command, _ISO_KEYS)
 
 
-@cli.command(name="decorations")
-@click.option("--family", required=True, type=click.Choice(_FAMILY_CHOICES))
-@click.option("--order", type=int, default=5, show_default=True)
-@_format_option
+@_verb(
+    "decorations",
+    _FAMILY,
+    _argument("--order", type=int, default=5, help="truncation order (default: %(default)s)"),
+)
 def decorations_cmd(family, order, fmt):
     """Generator counts of a family modeled as decorated plane forests."""
     counts = decoration_counts(family, order)
@@ -454,10 +507,11 @@ def decorations_cmd(family, order, fmt):
 _SUITE_KEYS = ("axiom", "elements", "expected", "got")
 
 
-@cli.command(name="verify")
-@click.option("--suite", required=True, type=click.Choice(AXIOM_SUITES))
-@click.option("--max-degree", type=int, default=4, show_default=True)
-@_format_option
+@_verb(
+    "verify",
+    _argument("--suite", required=True, choices=AXIOM_SUITES, help="axiom suite"),
+    _argument("--max-degree", type=int, default=4, help="highest total degree (default: %(default)s)"),
+)
 def verify_cmd(suite, max_degree, fmt):
     """Run one axiom suite exhaustively through a total degree."""
     report = check_axioms(suite, max_degree=max_degree)
@@ -466,28 +520,119 @@ def verify_cmd(suite, max_degree, fmt):
     _emit_report(fmt, payload, command, _SUITE_KEYS)
 
 
+# -- parsing -----------------------------------------------------------------------
+
+
+def _parser(prog, **keywords):
+    """An argparse parser whose one built-in option is ``--help``: ``-h``
+    stays an unknown option, as it always was."""
+    parser = argparse.ArgumentParser(prog=prog, add_help=False, **keywords)
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    return parser
+
+
+def _listing(group):
+    """The parser of ``dposet`` (``group`` "") or of a verb group, whose help
+    lists the verbs; built only to print that help or a usage error."""
+    prog = f"dposet {group}".rstrip()
+    verbs = {
+        name[len(group) :].strip(): fn.__doc__.partition("\n")[0]
+        for name, (fn, _) in _VERBS.items()
+        if not group or name.startswith(group + " ")
+    }
+    width = max(map(len, verbs))
+    return _parser(
+        prog,
+        usage=f"{prog} [--help] VERB [ARGS]...",
+        description=_GROUPS[group],
+        epilog="verbs:\n"
+        + "".join(f"  {name:<{width}}  {summary}\n" for name, summary in verbs.items())
+        + f"\n'{prog} VERB --help' lists a verb's operands and options.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+
+
+def _resolve(args):
+    """The verb that ``args`` starts with, and the arguments after its name."""
+    group = ""
+    while True:
+        if not args:
+            _listing(group).error("missing verb")
+        head, args = args[0], args[1:]
+        if head == "--help":
+            _listing(group).print_help()
+            raise SystemExit(0)
+        name = f"{group} {head}".lstrip()
+        if name in _VERBS:
+            return name, args
+        if not head or name not in _GROUPS:
+            kind = "option" if head.startswith("-") else "command"
+            _listing(group).error(f"No such {kind}: {head!r}")
+        group = name
+
+
+def _parse(name, args):
+    """The keyword arguments of verb ``name`` read from ``args``.
+
+    argparse alone would read ``-1`` as an operand but ``-2*SP(1;)`` as an
+    unknown option, and can drop a second ``--``.  So the options (each takes
+    one value) are read up to the first ``--``, where any other argument that
+    starts with ``-`` is an unknown option, and argparse gets them followed
+    by ``--`` and the operands.
+    """
+    fn, arguments = _VERBS[name]
+    parser = _parser(f"dposet {name}", description=fn.__doc__)
+    valued = set()
+    for names, keywords in arguments:
+        parser.add_argument(*names, **keywords)
+        valued.update(n for n in names if n.startswith("-"))
+    options, operands = [], []
+    args = iter(args)
+    for arg in args:
+        option, eq, _ = arg.partition("=")
+        if arg == "--":
+            operands += args
+        elif arg == "--help" or (eq and option in valued):
+            options.append(arg)
+        elif arg in valued:
+            options += [arg, *itertools.islice(args, 1)]
+        elif arg.startswith("-") and arg != "-":
+            parser.error(f"No such option: {arg!r}")
+        else:
+            operands.append(arg)
+    if "--" in operands:
+        parser.error("'--' is not an operand")
+    return vars(parser.parse_args([*options, "--", *operands] if operands else options))
+
+
 def run(argv=None):
     """Execute one CLI invocation and return its exit code."""
     try:
-        cli.main(args=argv, prog_name="dposet", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
-    except click.ClickException as exc:
-        exc.show()
-        return 1
+        name, args = _resolve(sys.argv[1:] if argv is None else list(argv))
+        keywords = _parse(name, args)
+    except SystemExit as exc:  # argparse's: 0 after --help, 2 after a usage error
+        return 1 if exc.code else 0
+    try:
+        _VERBS[name][0](**keywords)
     except VerificationFailure:
         return 2
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        sys.stderr.write(f"error: {exc}\n")
         return 1
     return 0
 
 
 def main():
-    sys.exit(run())
+    """Console entry point.  A reader that closes the pipe early (``| head``)
+    ends the output quietly, with exit code 1."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; give it a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ kept so its failure can be reported explicitly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
@@ -283,19 +283,17 @@ BLOCK_SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class CongruenceCertificate:
+class CongruenceCertificate(
+    namedtuple("CongruenceCertificate", ("matrix", "transform", "blocks", "block_matrix"))
+):
     """Certificate ``transform @ matrix @ transform.T == block_matrix``.
 
     ``blocks`` names the diagonal blocks of ``block_matrix`` in order, each
     one of ``plus_one``, ``minus_one``, or ``hyperbolic``; ``transform`` is
-    unimodular.
+    unimodular.  Immutable, like every tuple.
     """
 
-    matrix: tuple
-    transform: tuple
-    blocks: tuple
-    block_matrix: tuple
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -643,19 +641,34 @@ def build_isometry(A, B):
     return S
 
 
-@dataclass
 class GradedMapSpec:
     """A graded linear map between poset families, given on basis elements.
 
     ``images`` maps every source basis element of degrees 1 to ``degree`` to
     its image, a combination of target basis elements.  The empty poset maps
-    to the empty poset.
+    to the empty poset.  Two specs are equal when all four fields are.
     """
 
-    source: str
-    target: str
-    images: dict
-    degree: int
+    __hash__ = None
+
+    def __init__(self, source, target, images, degree):
+        self.source = source
+        self.target = target
+        self.images = images
+        self.degree = degree
+
+    def _fields(self):
+        return (self.source, self.target, self.images, self.degree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "GradedMapSpec(source={!r}, target={!r}, images={!r}, degree={!r})".format(
+            *self._fields()
+        )
 
     def image(self, key):
         """Image of a single source basis element, as a target LinComb."""

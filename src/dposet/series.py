@@ -9,7 +9,6 @@ decoration with a forest hanging below) and ``F = 1/(1-T)`` (a forest is a
 word of trees), which solves to ``D = (F-1)/F**2``.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poset_core import enumerate_family
@@ -17,18 +16,37 @@ from .poset_core import enumerate_family
 __all__ = ["RatSeries", "decoration_counts", "poincare_series"]
 
 
-@dataclass(frozen=True)
 class RatSeries:
-    """Power series with rational coefficients, exact through ``order``."""
+    """Power series with rational coefficients, exact through ``order``.
 
-    coefficients: tuple
-    order: int
+    Immutable; equal to another ``RatSeries`` with the same coefficients and
+    order, and hashed by them."""
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        if len(coeffs) != self.order + 1:
+    __slots__ = ("coefficients", "order")
+
+    def __init__(self, coefficients, order):
+        coeffs = tuple(Fraction(c) for c in coefficients)
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient count must be order + 1")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coefficients, self.order) == (other.coefficients, other.order)
+
+    def __hash__(self):
+        return hash((self.coefficients, self.order))
+
+    def __repr__(self):
+        return f"RatSeries(coefficients={self.coefficients!r}, order={self.order!r})"
 
     @classmethod
     def from_coefficients(cls, coefficients, order=None):

@@ -1,9 +1,11 @@
 """Scalars, linear combinations, product, coproduct, pairing, antipode."""
 
+import importlib
 import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -389,6 +391,138 @@ def test_antipode_on_points_and_chains():
 def test_parse_lincomb_rejects_garbage():
     with pytest.raises(ValueError):
         parse_lincomb("XX(2;)")
+
+
+def _split_signed_terms_by_characters(s):
+    terms = []
+    depth = 0
+    sign = 1
+    cur = ""
+    for ch in s:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if depth == 0 and ch in "+-":
+            if cur.strip():
+                terms.append((sign, cur))
+                cur = ""
+                sign = 1
+            if ch == "-":
+                sign = -sign
+            continue
+        cur += ch
+    if depth != 0:
+        raise ValueError(f"unbalanced brackets: {s!r}")
+    if not cur.strip():
+        raise ValueError(f"bad lincomb literal: {s!r}")
+    terms.append((sign, cur))
+    return terms
+
+
+def parse_lincomb_in_two_walks(text):
+    """Reference parser: split the signed terms a character at a time, then
+    walk each term again for its last top-level ``*``."""
+    s = text.strip()
+    if s == "0":
+        return LinComb.zero()
+    out = []
+    for sign, term in _split_signed_terms_by_characters(s):
+        depth = 0
+        split_at = None
+        for idx, ch in enumerate(term):
+            if ch in "([":
+                depth += 1
+            elif ch in ")]":
+                depth -= 1
+            elif ch == "*" and depth == 0:
+                split_at = idx
+        if split_at is None:
+            coeff = 1
+            body = term
+        else:
+            coeff = parse_scalar(term[:split_at])
+            body = term[split_at + 1 :]
+        out.append((algebra._parse_basis_key(body), sign * coeff))
+    return LinComb(out)
+
+
+def _outcome(parse, text):
+    """The parsed combination, or the error's type and message."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+LINCOMB_EDGE_CASES = (
+    "0",
+    " 0 ",
+    "0*SP(1;)",
+    "0*SP(1;) + 0",
+    "SP(0;)",
+    "3/2*SP(2; 1<2) - SP(2;) + 2*21",
+    "(1+2I)*SP(3; 1<3, 2<3) - (1/2-3/4I)*SP(2;)",
+    "(1 + 2*I) * SP(2; 2<1)",
+    "I*12 - 2*I*21 + -I*[1,2]",
+    " 3 / 2 * SP(1;)",
+    "-SP(1;) - -SP(1;)",
+    "SP(1;) - - 1/0*SP(1;)",
+    "SP(1;) + + SP(2;)",
+    "SP(1;)+-SP(2;)",
+    "--SP(1;)",
+    "+SP(1;)",
+    "3*-SP(1;)",
+    "*SP(1;)",
+    "SP(2; 1<2)*",
+    "2*3*SP(1;)",
+    "[3,1,2] - 2*[1,2,3] + 312",
+    "2*∅ - ∅",
+    "PP(2; h: 1<2; r:) + SP(2;)",
+    "DP(2; o1: 1<2; o2: 2<1) - 2*DP(2; o1:; o2:)",
+    "1/0*SP(1;)",
+    "1/0I*SP(1;)",
+    "(1+2I*SP(1;)",
+    "SP(1;",
+    "SP(1;))",
+    "SP(1;)) + (",
+    ")(",
+    "[1,2",
+    "12]",
+    "",
+    "   ",
+    "+",
+    "-",
+    "- -",
+    "*",
+    "x",
+    "SP(1;) x",
+    "SP(1;) (x) SP(1;)",
+    "2 SP(1;)",
+    "XX(2;)",
+)
+
+
+@pytest.mark.parametrize("text", LINCOMB_EDGE_CASES)
+def test_parse_lincomb_matches_the_two_walk_parser_on_the_grammar(text):
+    assert _outcome(parse_lincomb, text) == _outcome(parse_lincomb_in_two_walks, text)
+
+
+def test_parse_lincomb_matches_the_two_walk_parser_on_the_benchmark_operands(monkeypatch):
+    """Every combination operand of the 16 seeded ``special`` operand sets."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    operands = {
+        text
+        for seed in range(workloads.SEED_POOL)
+        for inv in workloads.invocations("special", seed)
+        if inv.argv[0] in ("op", "theta", "pair", "upsilon")
+        for text in inv.argv[1:]
+        if "(" in text
+    }
+    assert len(operands) == 5 * workloads.SEED_POOL
+    for text in sorted(operands):
+        assert parse_lincomb(text) == parse_lincomb_in_two_walks(text)
 
 
 @given(st.sampled_from(_all_elements(3)))

@@ -5,6 +5,8 @@ import hashlib
 import importlib.resources
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -64,6 +66,19 @@ def test_python_dash_m_runs_the_cli():
     assert (done.returncode, done.stdout) == (0, "12\n")
 
 
+def test_a_closed_pipe_ends_the_output_without_a_traceback():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        f"{shlex.quote(sys.executable)} -m dposet enumerate --family sp --degree 5 | head -1",
+        shell=True,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert (done.stdout, done.stderr) == ("SP(5;)\n", "")
+
+
 def test_verify_bidendriform_passes(cli):
     code, out, err = cli("verify", "--suite", "bidendriform", "--max-degree", "4")
     assert code == 0
@@ -77,6 +92,73 @@ def test_unknown_verb_is_usage_error(cli):
     code, out, err = cli("bogus")
     assert code == 1
     assert "No such command" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bogus",), "No such command: 'bogus'"),
+        (("isometry", "bogus"), "No such command: 'bogus'"),
+        (("enumerate", "--family", "sp", "--degree", "3", "--bogus", "1"), "No such option: '--bogus'"),
+        (("theta", "-2*SP(1;)"), "No such option: '-2*SP(1;)'"),
+        (("enumerate", "--family", "xx", "--degree", "3"), "argument --family: invalid choice: 'xx'"),
+        (("op", "bogus", "SP(1;)"), "argument name: invalid choice: 'bogus'"),
+        (("enumerate", "--family", "sp", "--degree", "x"), "argument --degree: invalid int value: 'x'"),
+        (("gram", "--family", "sp"), "the following arguments are required: --degree"),
+        (("theta",), "the following arguments are required: operand"),
+        (("op", "product", "SP(1;)"), "op product takes exactly 2 operand(s)"),
+        (("theta", "SP(1;)", "SP(1;)"), "unrecognized arguments: SP(1;)"),
+        (("op", "product", "--", "SP(1;)", "--", "SP(1;)"), "'--' is not an operand"),
+    ],
+)
+def test_usage_errors_exit_one_with_an_error_line(cli, argv, message):
+    code, out, err = cli(*argv)
+    assert (code, out) == (1, "")
+    assert "error: " + message in err
+    assert "Traceback" not in err
+
+
+# every verb and the options it lists besides --format and --help
+VERB_OPTIONS = {
+    "enumerate": ("--family", "--degree"),
+    "classify": (),
+    "op": ("--anchor",),
+    "pair": (),
+    "gram": ("--family", "--degree"),
+    "kernel": ("--family", "--degree"),
+    "theta": (),
+    "upsilon": (),
+    "phi": (),
+    "psi": (),
+    "bruhat-interval": (),
+    "diagonalize": (),
+    "isometry build": (),
+    "isometry verify": ("--variant", "--max-degree"),
+    "decorations": ("--family", "--order"),
+    "verify": ("--suite", "--max-degree"),
+}
+
+
+def _listed_verbs(out):
+    return re.findall(r"^  (\S+(?: \S+)?)  +[A-Z]", out.partition("verbs:")[2], re.M)
+
+
+def test_help_lists_every_verb(cli):
+    code, out, err = cli("--help")
+    assert (code, err) == (0, "")
+    assert _listed_verbs(out) == list(VERB_OPTIONS)
+    code, out, err = cli("isometry", "--help")
+    assert (code, err) == (0, "")
+    assert _listed_verbs(out) == ["build", "verify"]
+
+
+@pytest.mark.parametrize("verb", VERB_OPTIONS)
+def test_verb_help_lists_every_option(cli, verb):
+    code, out, err = cli(*verb.split(), "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: dposet {verb} ")
+    for option in (*VERB_OPTIONS[verb], "--format", "--help"):
+        assert f"  {option}" in out
 
 
 def test_bad_literal_is_domain_error(cli):
@@ -385,6 +467,28 @@ def test_outputs_match_the_recorded_digests(cli, case):
     code, out, err = cli(*case["argv"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    GOLDEN["invocations"],
+    ids=lambda c: " ".join(c["argv"])[:60] or "no arguments",
+)
+def test_invocations_keep_their_recorded_exit_codes_and_outputs(cli, monkeypatch, case):
+    """Every verb in every format, and the edge cases of the argument syntax
+    (negative bounds, operands that start with ``-`` before and after ``--``,
+    ``--opt=value``, repeated options, usage errors), recorded under the
+    earlier click front end.  A ``--help`` case keeps its exit code alone:
+    the help text is the new front end's own."""
+    monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
+    code, out, err = cli(*case["argv"])
+    assert code == case["exit"]
+    if "sha256" in case:
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+    if code == 1:
+        assert "error:" in err and "Traceback" not in err
+    else:
+        assert err == ""
 
 
 def test_recorded_digests_cover_every_format_of_the_listed_verbs():

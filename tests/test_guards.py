@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import dposet
@@ -208,3 +210,23 @@ def test_values_are_built_on_one_path():
     assert OBJECT_NEW_ALLOWED <= {(name, function) for name, function, _ in calls}
     found = [f"{name}:{line} in {function}" for name, function, line in calls if (name, function) not in OBJECT_NEW_ALLOWED]
     assert found == [], "build through DoublePoset._from_masks or Permutation._trusted:\n" + "\n".join(found)
+
+
+def test_importing_the_cli_loads_no_click_dataclasses_inspect_or_typing():
+    """Each of these would cost every verb start-up time.  ``-S`` skips
+    ``site``, whose ``.pth`` hooks may import ``typing`` themselves."""
+    heavy = ("click", "dataclasses", "inspect", "typing")
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, dposet.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))",
+            *heavy,
+        ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(dposet.__file__).resolve().parents[1])},
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -14,6 +14,7 @@ from dposet import linalg
 from dposet.algebra import GaussRat, LinComb, gram_matrix, normalize_scalar, parse_lincomb
 from dposet.linalg import (
     ISOMETRY_VARIANTS,
+    CongruenceCertificate,
     GradedMapSpec,
     build_isometry,
     congruence_diagonalize,
@@ -242,6 +243,11 @@ def test_congruence_diagonalize_hyperbolic_plane():
     cert = congruence_diagonalize([[0, 1], [1, 0]])
     assert cert.blocks == ("hyperbolic",)
     check_certificate(cert)
+    assert cert == CongruenceCertificate(
+        matrix=cert.matrix, transform=cert.transform, blocks=("hyperbolic",), block_matrix=cert.block_matrix
+    )
+    with pytest.raises(AttributeError):
+        cert.blocks = ()
 
 
 def test_congruence_diagonalize_gram_matrices():
@@ -423,6 +429,7 @@ def test_graded_map_spec_holds_the_image_of_each_source_basis_element():
         verify_graded_isometry(spec, 4)
     images = {P: LinComb.basis(P) for n in (1, 2, 3) for P in enumerate_family("spp", n)}
     identity = GradedMapSpec(source="spp", target="spp", images=images, degree=3)
+    assert identity == GradedMapSpec("spp", "spp", dict(images), 3) != spec
     report = verify_graded_isometry(identity, 3)
     assert (report["ok"], report["checks"]) == (True, 39)
     P = parse_poset("SP(3; 1<2)")

@@ -20,6 +20,19 @@ def test_construction_checks_length():
         RatSeries((1, 2), 2)
 
 
+def test_series_are_immutable_values():
+    s = RatSeries((1, "1/2"), 1)
+    assert s == RatSeries((Fraction(1), Fraction(1, 2)), 1)
+    assert hash(s) == hash(RatSeries((1, Fraction(1, 2)), 1))
+    assert s != RatSeries((1, "1/2", 0), 2)
+    assert s != (s.coefficients, s.order)
+    assert repr(s) == "RatSeries(coefficients=(Fraction(1, 1), Fraction(1, 2)), order=1)"
+    with pytest.raises(AttributeError):
+        s.order = 2
+    with pytest.raises(AttributeError):
+        del s.coefficients
+
+
 def test_from_coefficients_pads_and_truncates():
     assert RatSeries.from_coefficients([1], 2) == RatSeries((1, 0, 0), 2)
     assert RatSeries.from_coefficients([1, 2, 3, 4], 2) == RatSeries((1, 2, 3), 2)
