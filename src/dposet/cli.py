@@ -578,14 +578,20 @@ def _parse(name, args):
     unknown option, and can drop a second ``--``.  So the options (each takes
     one value) are read up to the first ``--``, where any other argument that
     starts with ``-`` is an unknown option, and argparse gets them followed
-    by ``--`` and the operands.
+    by ``--`` and all the operands.
     """
     fn, arguments = _VERBS[name]
     parser = _parser(f"dposet {name}", description=fn.__doc__)
     valued = set()
+    # "--" goes before the operands only of a verb that takes some, so that a
+    # stray operand of any other verb is reported as typed
+    separator = []
     for names, keywords in arguments:
         parser.add_argument(*names, **keywords)
-        valued.update(n for n in names if n.startswith("-"))
+        if names[0].startswith("-"):
+            valued.update(names)
+        else:
+            separator = ["--"]
     options, operands = [], []
     args = iter(args)
     for arg in args:
@@ -602,7 +608,7 @@ def _parse(name, args):
             operands.append(arg)
     if "--" in operands:
         parser.error("'--' is not an operand")
-    return vars(parser.parse_args([*options, "--", *operands] if operands else options))
+    return vars(parser.parse_args([*options, *separator, *operands]))
 
 
 def run(argv=None):

@@ -108,6 +108,7 @@ def test_unknown_verb_is_usage_error(cli):
         (("theta",), "the following arguments are required: operand"),
         (("op", "product", "SP(1;)"), "op product takes exactly 2 operand(s)"),
         (("theta", "SP(1;)", "SP(1;)"), "unrecognized arguments: SP(1;)"),
+        (("enumerate", "--family", "sp", "--degree", "3", "extra"), "unrecognized arguments: extra\n"),
         (("op", "product", "--", "SP(1;)", "--", "SP(1;)"), "'--' is not an operand"),
     ],
 )
