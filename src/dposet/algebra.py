@@ -655,16 +655,36 @@ def _picture_pairing(P, Q):
 
 
 @lru_cache(maxsize=8192)
-def _extension_sets(P):
-    """The linear extensions of a special poset and their inverses, as two
-    frozensets of words.
+def _extensions(P):
+    """The linear extensions of a special poset as words, in lexicographic
+    order: the one table of them, read by theta, the special pairing, the
+    Gram matrix and the pairing radical.
 
-    An entry takes at most 19 KB at degree 5 and 161 KB at degree 6 (the
-    antichain's ``2 * n!`` words).  All 4,231 special posets of degree 5 fit
-    in the bound and take 14 MB together.
+    An entry takes at most 10 KB at degree 5 and 68 KB at degree 6 (the
+    antichain's ``n!`` words).  All 4,231 special posets of degree 5 fit in
+    the bound and take 3.9 MB together.
     """
-    words = extension_words(P)
-    return frozenset(words), frozenset(map(inverse_word, words))
+    return extension_words(P)
+
+
+def _image_pairing(x, y):
+    """The unnormalized pairing of two lists of ``(special poset,
+    coefficient)`` terms through theta's image, an isometry onto the
+    permutations, where a permutation pairs to 1 with its inverse only:
+    theta(x) is accumulated once as word -> coefficient, and each term
+    ``d*Q`` of y adds ``d`` times the coefficients of the inverses of Q's
+    extension words."""
+    image = {}
+    for P, c in x:
+        for word in _extensions(P):
+            image[word] = image.get(word, 0) + c
+    get = image.get
+    total = 0
+    for Q, d in y:
+        v = sum(get(inverse_word(word), 0) for word in _extensions(Q))
+        if v:
+            total += d * v
+    return total
 
 
 def pairing_basis(P, Q):
@@ -674,14 +694,13 @@ def pairing_basis(P, Q):
 
     Two routes give this count.  When both posets are special it is the
     number of linear extensions of P whose inverse is a linear extension of
-    Q, since theta is an isometry onto the permutations, where a permutation
-    pairs to 1 with its inverse only.  Otherwise the bijections (pictures)
-    are counted directly.
+    Q, the one-term case of :func:`_image_pairing`.  Otherwise the
+    bijections (pictures) are counted directly.
     """
     if P.n != Q.n:
         return 0
     if is_special(P) and is_special(Q):
-        return len(_extension_sets(P)[0] & _extension_sets(Q)[1])
+        return _image_pairing(((P, 1),), ((Q, 1),))
     return _picture_pairing(P, Q)
 
 
@@ -704,41 +723,18 @@ def _key_pairing(a, b):
     raise ValueError("mixed basis kinds")
 
 
-# The fewest term pairs for which :func:`pairing` of two all-special
-# combinations reads theta's image instead of pairing term by term.  On sp 5,
-# on a 2-core x86 host, the image route takes 77 us for 8 x 8 terms against
-# 176 us term by term, but is 1.1-1.4 times slower with one term on a side;
-# the axiom suites pair one term against at most 16.
-_IMAGE_PAIRING_MIN_PAIRS = 32
-
-
 def pairing(x, y):
     """Bilinear extension of the basis pairing; exact scalar result.
 
-    Two routes give the sum.  Two all-special combinations with at least
-    ``_IMAGE_PAIRING_MIN_PAIRS`` term pairs are paired through theta's
-    image: theta(x) is accumulated once as word -> coefficient, and each
-    term ``d*Q`` of y adds ``d`` times the coefficients of the inverses of
-    Q's extension words, since a permutation pairs to 1 with its inverse
-    only.  Otherwise, as for single terms in the axiom suites, each pair of
-    terms goes through :func:`pairing_basis`.
+    Two all-special combinations pair through theta's image
+    (:func:`_image_pairing`); any other pair of terms goes through
+    :func:`pairing_basis`.
     """
     x = as_lincomb(x)
     y = as_lincomb(y)
+    if all(map(is_special, (*x._terms, *y._terms))):
+        return normalize_scalar(_image_pairing(x.items(), y.items()))
     total = 0
-    if len(x._terms) * len(y._terms) >= _IMAGE_PAIRING_MIN_PAIRS and all(
-        map(is_special, (*x._terms, *y._terms))
-    ):
-        image = {}
-        for P, c in x.items():
-            for word in _extension_sets(P)[0]:
-                image[word] = image.get(word, 0) + c
-        get = image.get
-        for Q, d in y.items():
-            v = sum(get(word, 0) for word in _extension_sets(Q)[1])
-            if v:
-                total += d * v
-        return normalize_scalar(total)
     for kx, cx in x.items():
         for ky, cy in y.items():
             v = _key_pairing(kx, ky)
@@ -747,19 +743,25 @@ def pairing(x, y):
     return normalize_scalar(total)
 
 
-def _gram_by_extensions(basis):
-    """Gram matrix of special posets: entry ``(i, j)`` counts the extension
-    words of the ``i``-th poset whose inverse is an extension word of the
-    ``j``-th, found by bucketing every poset under each of its words."""
-    words = [extension_words(P) for P in basis]
+def _theta_incidence(basis):
+    """theta's incidence on a basis of special posets: each extension word
+    -> the indices of the elements that have it, in increasing order."""
     holders = {}
-    for j, ws in enumerate(words):
-        for word in ws:
+    for j, P in enumerate(basis):
+        for word in _extensions(P):
             holders.setdefault(word, []).append(j)
+    return holders
+
+
+def _gram_by_extensions(basis):
+    """Gram matrix of special posets, ``Θᵀ J Θ``: entry ``(i, j)`` counts the
+    extension words of the ``i``-th poset whose inverse is an extension word
+    of the ``j``-th, read off theta's incidence."""
+    holders = _theta_incidence(basis)
     rows = []
-    for ws in words:
+    for P in basis:
         row = [0] * len(basis)
-        for word in ws:
+        for word in _extensions(P):
             for j in holders.get(inverse_word(word), ()):
                 row[j] += 1
         rows.append(tuple(row))

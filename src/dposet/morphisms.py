@@ -18,20 +18,21 @@
 - ``bruhat_interval_check``: whether the linear extensions form a down
   interval of the right weak order (characterizes special plane posets),
   tested by adjacent swaps inside the set of extension words.
+
+Linear extensions are read from ``algebra._extensions``, the one table that
+the special pairing and the Gram matrix read too.
 """
 
 import itertools
-from functools import lru_cache
 from math import factorial
 
-from .algebra import LinComb, _extension_sets, _gram_basis, _gram_of, as_lincomb
+from .algebra import LinComb, _extensions, _gram_basis, _gram_of, _theta_incidence, as_lincomb
 from .fqsym import Permutation
 from .linalg import _sparse_kernel
 from .poset_core import (
     DoublePoset,
     SpecialPoset,
     _special,
-    extension_words,
     is_heap_forest,
     is_plane,
     is_special,
@@ -57,23 +58,12 @@ __all__ = [
 # -- linear extensions and theta -------------------------------------------------
 
 
-@lru_cache(maxsize=8192)
-def _extensions(P):
-    """The linear extensions of ``P`` as permutations, in lexicographic order.
-
-    An entry takes at most 13 KB at degree 5 and 141 KB at degree 6 (the
-    antichain's ``n!`` permutations).  All 4,231 special posets of degree 5
-    fit in the bound and take 7.9 MB together.
-    """
-    return tuple(Permutation._trusted(word) for word in extension_words(P))
-
-
 def linear_extensions(P):
     """All words listing the labels of ``P`` so that lower comes before
     higher in the first order, as permutations, in lexicographic order."""
     if not is_special(P):
         raise ValueError("not a special poset")
-    return list(_extensions(P))
+    return [Permutation._trusted(word) for word in _extensions(P)]
 
 
 def theta(x):
@@ -85,7 +75,7 @@ def theta(x):
     x = as_lincomb(x)
     if not all(is_special(P) for P, _ in x.items()):
         raise ValueError("not a special poset")
-    return LinComb((sigma, coeff) for P, coeff in x.items() for sigma in _extensions(P))
+    return LinComb((Permutation._trusted(w), c) for P, c in x.items() for w in _extensions(P))
 
 
 # -- the permutation <-> plane poset bijections ----------------------------------
@@ -173,7 +163,7 @@ def theta_hof_inverse(y):
                 continue
             F = _hof_of_word(word)
             out.append((F, coeff))
-            for other in extension_words(F)[:-1]:
+            for other in _extensions(F)[:-1]:
                 residual[other] = residual.get(other, 0) - coeff
     return LinComb(out)
 
@@ -268,14 +258,15 @@ def pairing_kernel_basis(family, n):
     theta is an isometry onto the permutations, so the Gram matrix is
     ``G = Θᵀ J Θ``, where ``Θ`` is the ``n! × |basis|`` 0/1 incidence of
     extension words and ``J`` pairs each permutation with its inverse.
-    When every basis element is special and ``Θ`` has rank ``n!``, the
-    radical is the kernel of ``Θ``, which is eliminated instead of ``G``; a
-    reduced echelon kernel basis depends only on the subspace, so both
-    routes give the same vectors.  Otherwise ``G`` is eliminated: for the
-    non-special families, and for special ones where ``Θ`` has rank below
-    ``n!`` (swnp 4 has 22 < 24 elements, and its ``Θ`` kernel is not the
-    radical).  A basis too large for a Gram matrix is refused before either
-    route.
+    ``_theta_incidence`` builds ``Θ`` for this kernel and for the Gram
+    matrix alike.  When every basis element is special and ``Θ`` has rank
+    ``n!``, the radical is the kernel of ``Θ``, which is eliminated instead
+    of ``G``; a reduced echelon kernel basis depends only on the subspace,
+    so both routes give the same vectors.  Otherwise ``G`` is eliminated:
+    for the non-special families, and for special ones where ``Θ`` has rank
+    below ``n!`` (swnp 4 has 22 < 24 elements, and its ``Θ`` kernel is not
+    the radical).  A basis too large for a Gram matrix is refused before
+    either route.
     """
     basis = _gram_basis(family, n)
     kernel = _theta_kernel(basis, n)
@@ -287,14 +278,18 @@ def pairing_kernel_basis(family, n):
 def _theta_kernel(basis, n):
     """The kernel of ``Θ`` on a degree-``n`` basis, as :func:`_sparse_kernel`
     vectors, or None unless every element is special and ``Θ`` has rank
-    ``n!``."""
+    ``n!``.  Θ's rows are laid in decreasing word order, which eliminates
+    faster than the order in which the words first appear."""
     if len(basis) < factorial(n) or not all(map(is_special, basis)):
         return None
-    rows = {}  # extension word -> its row of Θ
-    for j, P in enumerate(basis):
-        for word in _extension_sets(P)[0]:
-            rows.setdefault(word, [0] * len(basis))[j] = 1
-    rank, kernel = _sparse_kernel(list(rows.values()))
+    incidence = _theta_incidence(basis)
+    rows = []
+    for word in sorted(incidence, reverse=True):
+        row = [0] * len(basis)
+        for j in incidence[word]:
+            row[j] = 1
+        rows.append(row)
+    rank, kernel = _sparse_kernel(rows)
     return kernel if rank == factorial(n) else None
 
 
@@ -308,7 +303,7 @@ def bruhat_interval_check(P):
     """
     if not is_special(P):
         raise ValueError("not a special poset")
-    words = set(extension_words(P))
+    words = set(_extensions(P))
     tops = 0
     for w in words:
         swaps = [(w[i] > w[i + 1], w[:i] + (w[i + 1], w[i]) + w[i + 2 :]) for i in range(len(w) - 1)]

@@ -441,8 +441,8 @@ def extension_words(P):
     the labels so that lower comes before higher, as tuples in lexicographic
     order.
 
-    This is the one enumerator of linear extensions; the callers that keep
-    them cache what they derive from it.
+    This is the one enumerator of linear extensions, and
+    ``algebra._extensions`` the one table that keeps them.
     """
     n = P.n
     down1 = P.down1

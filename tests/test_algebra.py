@@ -300,10 +300,15 @@ def test_pairing_routes_are_chosen_by_the_special_test(monkeypatch):
     assert len(calls) == 1
 
 
-def pairing_term_by_term(x, y):
-    """Reference pairing: every pair of terms through ``pairing_basis``."""
+def pairing_by_pictures(x, y):
+    """Reference pairing: every same-size pair of terms by its picture count."""
     return normalize_scalar(
-        sum(cx * cy * pairing_basis(P, Q) for P, cx in x.items() for Q, cy in y.items())
+        sum(
+            cx * cy * picture_pairing(P, Q)
+            for P, cx in x.items()
+            for Q, cy in y.items()
+            if P.n == Q.n
+        )
     )
 
 
@@ -319,8 +324,19 @@ def test_image_pairing_matches_the_term_pairs(monkeypatch, seed):
     x, y = combination(sp5, 60), combination(sp5, 60)
     mixed = combination(sp4, 20) + combination(sp5, 20) + GaussRat(1, 2) * combination(sp4, 5)
     plane = mixed + LinComb.basis(plane_version(enumerate_family("spp", 4)[rng.randrange(24)]))
-    cases = [(x, y), (x, mixed), (mixed, mixed), (plane, mixed), (mixed, plane)]
-    want = [pairing_term_by_term(a, b) for a, b in cases]
+    one, other = LinComb.basis(rng.choice(sp5)), LinComb.basis(rng.choice(sp5))
+    cases = [
+        (x, y),
+        (x, mixed),
+        (mixed, mixed),
+        (plane, mixed),
+        (mixed, plane),
+        (one, other),
+        (one, one),
+        (LinComb.zero(), x),
+        (mixed, LinComb.zero()),
+    ]
+    want = [pairing_by_pictures(a, b) for a, b in cases]
     calls = []
     by_basis = algebra.pairing_basis
     monkeypatch.setattr(algebra, "pairing_basis", lambda P, Q: calls.append(P) or by_basis(P, Q))

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import dposet
+from dposet import algebra, morphisms
 
 SOURCES = sorted(Path(dposet.__file__).parent.glob("*.py"))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -166,6 +167,18 @@ def test_no_function_in_the_package_inverts_a_matrix():
         for function, line in _calls_to(path.read_text(), "mat_inverse")
     ]
     assert found == []
+
+
+def test_linear_extensions_are_kept_in_one_table():
+    # every reader goes through algebra._extensions; the bench tracer finds
+    # it as morphisms._extensions and counts len() of an entry as words
+    found = [
+        (path.name, function)
+        for path in SOURCES
+        for function, _ in _calls_to(path.read_text(), "extension_words")
+    ]
+    assert found == [("algebra.py", "_extensions")]
+    assert morphisms._extensions is algebra._extensions
 
 
 # The one construction path of trusted values: posets from closed masks, and
