@@ -227,12 +227,14 @@ def test_values_are_built_on_one_path():
 
 def test_importing_the_cli_loads_no_click_dataclasses_inspect_or_typing():
     """Each of these would cost every verb start-up time.  ``-S`` skips
-    ``site``, whose ``.pth`` hooks may import ``typing`` themselves."""
+    ``site``, whose ``.pth`` hooks may import ``typing`` themselves, and
+    ``-B`` keeps the child from writing bytecode into the source tree."""
     heavy = ("click", "dataclasses", "inspect", "typing")
     done = subprocess.run(
         [
             sys.executable,
             "-S",
+            "-B",
             "-c",
             "import sys, dposet.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))",
             *heavy,
