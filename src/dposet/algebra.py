@@ -222,14 +222,8 @@ _SCALAR_TERM = re.compile(
 
 
 def parse_scalar(text):
-    """Parse ``3/2``, ``1+2*I``, ``1/2-3/4I``, ``I``, ``(1+2I)`` and the like.
-
-    A plain ASCII decimal integer, the common coefficient, skips the term
-    grammar; any other digits take the general route.
-    """
+    """Parse ``3/2``, ``1+2*I``, ``1/2-3/4I``, ``I``, ``(1+2I)`` and the like."""
     s = text.strip()
-    if s.isdigit() and s.isascii():
-        return Fraction(int(s))
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1].strip()
     pos = 0
@@ -441,9 +435,6 @@ class LinComb:
     def __bool__(self):
         return bool(self._terms)
 
-    def is_zero(self):
-        return not self._terms
-
     def __eq__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
@@ -497,20 +488,14 @@ def _tensor_terms(c, left, right):
     return ((Tensor(K, L), c * d * e) for K, d in left for L, e in right)
 
 
-def _span_terms(tens, left, right):
-    """The terms of the two-slot map ``left (x) right``: those of
-    left(a) (x) right(b) over the terms a (x) b of ``tens``."""
-    return (
+def _span(tens, left, right):
+    """The two-slot map ``left (x) right``: the sum of left(a) (x) right(b)
+    over the terms a (x) b of ``tens``."""
+    return LinComb(
         term
         for T, c in tens.items()
         for term in _tensor_terms(c, left(T.factors[0]), right(T.factors[1]))
     )
-
-
-def _span(tens, left, right):
-    """The two-slot map ``left (x) right``: the sum of left(a) (x) right(b)
-    over the terms a (x) b of ``tens``."""
-    return LinComb(_span_terms(tens, left, right))
 
 
 def require_augmented(x):

@@ -16,19 +16,42 @@
   vanish) of the forest space, dimension 1 in degree 1 and 0 beyond.
 - ``check_axioms``: exhaustive verification of the axiom systems on basis
   tuples up to a degree bound, reported as exact-equality violation lists.
+
+The four compatibility suites state each right side as slotwise products
+in the tensor square (``_times``) of unit-augmented cut lists, each product
+less its trivial term, the one term with an empty factor, where it has one.
+The empty poset ``E`` is the unit of each slot: of composition and the
+northwest graft on both sides, of ``prec`` on the right (``x prec E = x``)
+and of ``succ`` on the left (``E succ x = x``); no product puts ``E`` on the
+other side of a half-product.  For a basis key ``x``, let ``D(x)`` be all
+its cuts, the unit cuts ``x (x) E`` and ``E (x) x`` included,
+``L(x) = D(x) - E (x) x``, ``p(x)`` and ``s(x)`` the halves of the suite's
+split, ``p1(x) = p(x) + x (x) E`` and ``s1(x) = s(x) + E (x) x``.  With
+``f*g`` the product that applies ``f`` in the left slot and ``g`` in the
+right, ``.`` composition, ``nw`` the graft, ``<`` and ``>`` the
+half-products and ``R`` the reduced coproduct::
+
+    dupdend-compat   p(x.y)    = D(x) .*. p1(y)       s(x.y) = D(x) .*. s1(y)
+                     p(x nw y) = p1(x) nw*. p1(y)
+                     s(x nw y) = p1(x) nw*. s1(y) + s1(x) .*nw (E (x) y)
+    codendriform     p(x.y)    = p1(x) .*. D(y)       s(x.y) = s1(x) .*. D(y)
+    dendriform-hopf  R(x<y)    = L(x) <*. D(y)        R(x>y) = D(x) >*. L(y)
+    bidendriform     p(x<y)    = p1(x) <*. D(y)       s(x<y) = s(x) <*. D(y)
+                     p(x>y)    = p1(x) >*. L(y)       s(x>y) = s1(x) >*. L(y)
 """
 
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import chain
 
 from .algebra import (
     LinComb,
+    Tensor,
     _gram_cached,
     _half_coproducts,
     _span,
-    _span_terms,
     _tensor_terms,
     apply_slot,
+    coproduct,
     format_lincomb,
     lc_product,
     reduced_coproduct,
@@ -39,6 +62,7 @@ from .linalg import rank_kernel
 from .morphisms import theta
 from .poset_core import (
     compose,
+    empty_poset,
     enumerate_family,
     is_special,
     is_special_plane,
@@ -202,9 +226,12 @@ def _pairs(family, max_degree, left, right):
     The pairs come in one block per degree pair ``(a, b)``: ``P`` runs over
     grade ``a`` outside, ``Q`` over grade ``b`` inside.  ``left(P)`` is
     computed once per block; ``right`` goes through a cache that lives for
-    one block, so it holds at most one grade's results.  The suites pass
-    this module's globals as ``left`` and ``right``, so a replacement
-    planted by a test applies.  Only grades ``1..max_degree - 1`` are read.
+    one block, so it holds at most one grade's results.  The compatibility
+    suites pass unit-augmented cut lists (:func:`_cuts_with_units`,
+    :func:`_halves_with_units`), so a key's lists, its unit cuts included,
+    are made once a block.  The suites pass this module's globals as
+    ``left`` and ``right``, so a replacement planted by a test applies.
+    Only grades ``1..max_degree - 1`` are read.
     """
     grades = _graded(family, max_degree - 1)
     for a in range(1, max_degree):
@@ -229,17 +256,45 @@ def _triples(family, max_degree):
                             yield P, Q, R
 
 
-def _mix_terms(tx, ty, left, right):
-    """The terms of left(a, u) (x) right(b, v) over the terms a (x) b of
-    ``tx`` and u (x) v of ``ty``."""
-    return (
-        term
-        for Tx, c in tx.items()
-        for Ty, d in ty.items()
-        for term in _tensor_terms(
-            c * d, left(Tx.factors[0], Ty.factors[0]), right(Tx.factors[1], Ty.factors[1])
-        )
-    )
+_E = empty_poset()
+
+
+def _times(tx, ty, left, right):
+    """The terms of the slotwise product of two two-slot tensors, those of
+    left(a, u) (x) right(b, v) over the terms a (x) b of ``tx`` and u (x) v
+    of ``ty``.  The empty poset ``E`` is the unit of each slot: an operand
+    ``E`` gives the other operand without a call.  A pair with ``E`` on both
+    sides of one slot would give the trivial term, whose empty factor no
+    reduced coproduct has; it is skipped."""
+    ty = [(*T.factors, d) for T, d in ty.items()]
+    for Tx, c in tx.items():
+        a, b = Tx.factors
+        for u, v, d in ty:
+            if (a.n or u.n) and (b.n or v.n):
+                yield from _tensor_terms(
+                    c * d,
+                    (left(a, u) if u.n else a) if a.n else u,
+                    (right(b, v) if v.n else b) if b.n else v,
+                )
+
+
+def _cuts_with_units(P):
+    """``(dx, lx)``: ``Delta(P)``, every cut of ``P`` with the unit cuts
+    ``P (x) E`` and ``E (x) P``, and ``Delta(P) - E (x) P``."""
+    dx = coproduct(P)
+    return dx, LinComb.sum((dx, (Tensor(_E, P), -1)))
+
+
+def _halves_with_units(P, split):
+    """``(px, sx, sx0)``: the halves of ``P``'s ``split`` with their unit
+    cuts, ``prec + P (x) E`` and ``succ + E (x) P``, and ``succ`` alone."""
+    prec, succ = split(LinComb.basis(P))
+    return LinComb.sum((prec, (Tensor(P, _E), 1))), LinComb.sum((succ, (Tensor(_E, P), 1))), succ
+
+
+def _cuts_and_halves(P, split):
+    """``(dx, px, sx, sx0)``: ``Delta(P)`` and :func:`_halves_with_units`."""
+    return coproduct(P), *_halves_with_units(P, split)
 
 
 # Each ``_check_*`` suite yields ``(elements, cases)`` per basis tuple, every
@@ -281,178 +336,65 @@ def _check_dendriform_coalgebra(max_degree):
                 yield (P,), ((f"{family}:{name}", lhs, rhs) for name, lhs, rhs in cases)
 
 
-def _coproduct_and_split(P):
-    return reduced_coproduct(P), *sp_dendriform_coproducts(P)
-
-
 def _check_dupdend_compat(max_degree):
-    """``P``'s reduced coproduct and split are computed once per block of
-    :func:`_pairs`, and ``Q``'s split once per block in a cache that holds at
-    most one grade's splits."""
-    pairs = _pairs("sp", max_degree, _coproduct_and_split, sp_dendriform_coproducts)
-    for P, Q, (dx, px, sx), (py, sy) in pairs:
+    split = sp_dendriform_coproducts
+    left, right = partial(_cuts_and_halves, split=split), partial(_halves_with_units, split=split)
+    for P, Q, (dx, px, sx, _), (py, sy, _) in _pairs("sp", max_degree, left, right):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         product_prec, product_succ = sp_dendriform_coproducts(x * y)
         nwarrow_prec, nwarrow_succ = sp_dendriform_coproducts(sp_nwarrow(x, y))
+        ey = LinComb.basis(Tensor(_E, Q))
         yield (P, Q), (
-            (
-                "product-prec",
-                product_prec,
-                LinComb(chain(
-                    _tensor_terms(1, Q, P),
-                    _span_terms(py, lambda a: a, lambda b: compose(P, b)),
-                    _span_terms(py, lambda a: compose(P, a), lambda b: b),
-                    _span_terms(dx, lambda a: compose(a, Q), lambda b: b),
-                    _mix_terms(dx, py, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
-                )),
-            ),
-            (
-                "product-succ",
-                product_succ,
-                LinComb(chain(
-                    _tensor_terms(1, P, Q),
-                    _span_terms(sy, lambda a: compose(P, a), lambda b: b),
-                    _span_terms(sy, lambda a: a, lambda b: compose(P, b)),
-                    _span_terms(dx, lambda a: a, lambda b: compose(b, Q)),
-                    _mix_terms(dx, sy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
-                )),
-            ),
-            (
-                "nwarrow-prec",
-                nwarrow_prec,
-                LinComb(chain(
-                    _span_terms(py, lambda a: nwarrow(P, a), lambda b: b),
-                    _span_terms(px, lambda a: nwarrow(a, Q), lambda b: b),
-                    _mix_terms(px, py, lambda a, u: nwarrow(a, u), lambda b, v: compose(b, v)),
-                )),
-            ),
+            ("product-prec", product_prec, LinComb(_times(dx, py, compose, compose))),
+            ("product-succ", product_succ, LinComb(_times(dx, sy, compose, compose))),
+            ("nwarrow-prec", nwarrow_prec, LinComb(_times(px, py, nwarrow, compose))),
             (
                 "nwarrow-succ",
                 nwarrow_succ,
-                LinComb(chain(
-                    _tensor_terms(1, P, Q),
-                    _span_terms(sy, lambda a: nwarrow(P, a), lambda b: b),
-                    _span_terms(sx, lambda a: a, lambda b: nwarrow(b, Q)),
-                    _span_terms(px, lambda a: a, lambda b: compose(b, Q)),
-                    _mix_terms(px, sy, lambda a, u: nwarrow(a, u), lambda b, v: compose(b, v)),
-                )),
+                LinComb(chain(_times(px, sy, nwarrow, compose), _times(sx, ey, compose, nwarrow))),
             ),
         )
 
 
 def _check_codendriform(max_degree):
-    """``P``'s split is computed once per block of :func:`_pairs`, and
-    ``Q``'s reduced coproduct once per block in a cache that holds at most
-    one grade's coproducts."""
-    for P, Q, (px, sx), dy in _pairs("spp", max_degree, spp_dendriform_coproducts, reduced_coproduct):
+    lists = partial(_halves_with_units, split=spp_dendriform_coproducts)
+    for P, Q, (px, sx, _), dy in _pairs("spp", max_degree, lists, coproduct):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         product_prec, product_succ = spp_dendriform_coproducts(x * y)
         yield (P, Q), (
-            (
-                "coproduct-prec-of-product",
-                product_prec,
-                LinComb(chain(
-                    _tensor_terms(1, P, Q),
-                    _span_terms(px, lambda a: compose(a, Q), lambda b: b),
-                    _span_terms(px, lambda a: a, lambda b: compose(b, Q)),
-                    _span_terms(dy, lambda a: compose(P, a), lambda b: b),
-                    _mix_terms(px, dy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
-                )),
-            ),
-            (
-                "coproduct-succ-of-product",
-                product_succ,
-                LinComb(chain(
-                    _tensor_terms(1, Q, P),
-                    _span_terms(sx, lambda a: compose(a, Q), lambda b: b),
-                    _span_terms(sx, lambda a: a, lambda b: compose(b, Q)),
-                    _span_terms(dy, lambda a: a, lambda b: compose(P, b)),
-                    _mix_terms(sx, dy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
-                )),
-            ),
+            ("coproduct-prec-of-product", product_prec, LinComb(_times(px, dy, compose, compose))),
+            ("coproduct-succ-of-product", product_succ, LinComb(_times(sx, dy, compose, compose))),
         )
 
 
 def _check_dendriform_hopf(max_degree):
-    """``P``'s reduced coproduct is computed once per block of
-    :func:`_pairs`, and ``Q``'s once per block in a cache that holds at most
-    one grade's coproducts."""
-    for P, Q, dx, dy in _pairs("spf", max_degree, reduced_coproduct, reduced_coproduct):
+    for P, Q, (dx, lx), (dy, ly) in _pairs("spf", max_degree, _cuts_with_units, _cuts_with_units):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         yield (P, Q), (
             (
                 "reduced-coproduct-of-prec",
                 reduced_coproduct(spf_prec(x, y)),
-                LinComb(chain(
-                    _tensor_terms(1, P, Q),
-                    _span_terms(dy, lambda a: spf_prec(P, a), lambda b: b),
-                    _span_terms(dx, lambda a: a, lambda b: compose(b, Q)),
-                    _span_terms(dx, lambda a: spf_prec(a, Q), lambda b: b),
-                    _mix_terms(dx, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
-                )),
+                LinComb(_times(lx, dy, spf_prec, compose)),
             ),
             (
                 "reduced-coproduct-of-succ",
                 reduced_coproduct(spf_succ(x, y)),
-                LinComb(chain(
-                    _tensor_terms(1, Q, P),
-                    _span_terms(dy, lambda a: spf_succ(P, a), lambda b: b),
-                    _span_terms(dy, lambda a: a, lambda b: compose(P, b)),
-                    _span_terms(dx, lambda a: spf_succ(a, Q), lambda b: b),
-                    _mix_terms(dx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
-                )),
+                LinComb(_times(dx, ly, spf_succ, compose)),
             ),
         )
 
 
 def _check_bidendriform(max_degree):
-    """``P``'s split is computed once per block of :func:`_pairs`, and
-    ``Q``'s reduced coproduct once per block in a cache that holds at most
-    one grade's coproducts."""
-    for P, Q, (px, sx), dy in _pairs("spf", max_degree, spp_dendriform_coproducts, reduced_coproduct):
+    lists = partial(_halves_with_units, split=spp_dendriform_coproducts)
+    for P, Q, (px, sx, sx0), (dy, ly) in _pairs("spf", max_degree, lists, _cuts_with_units):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         lhs_pp, lhs_sp = spp_dendriform_coproducts(spf_prec(x, y))
         lhs_ps, lhs_ss = spp_dendriform_coproducts(spf_succ(x, y))
         yield (P, Q), (
-            (
-                "prec-of-prec",
-                lhs_pp,
-                LinComb(chain(
-                    _tensor_terms(1, P, Q),
-                    _span_terms(dy, lambda a: spf_prec(P, a), lambda b: b),
-                    _span_terms(px, lambda a: a, lambda b: compose(b, Q)),
-                    _span_terms(px, lambda a: spf_prec(a, Q), lambda b: b),
-                    _mix_terms(px, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
-                )),
-            ),
-            (
-                "succ-of-prec",
-                lhs_sp,
-                LinComb(chain(
-                    _span_terms(sx, lambda a: a, lambda b: compose(b, Q)),
-                    _span_terms(sx, lambda a: spf_prec(a, Q), lambda b: b),
-                    _mix_terms(sx, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
-                )),
-            ),
-            (
-                "prec-of-succ",
-                lhs_ps,
-                LinComb(chain(
-                    _span_terms(px, lambda a: spf_succ(a, Q), lambda b: b),
-                    _span_terms(dy, lambda a: spf_succ(P, a), lambda b: b),
-                    _mix_terms(px, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
-                )),
-            ),
-            (
-                "succ-of-succ",
-                lhs_ss,
-                LinComb(chain(
-                    _tensor_terms(1, Q, P),
-                    _span_terms(dy, lambda a: a, lambda b: compose(P, b)),
-                    _span_terms(sx, lambda a: spf_succ(a, Q), lambda b: b),
-                    _mix_terms(sx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
-                )),
-            ),
+            ("prec-of-prec", lhs_pp, LinComb(_times(px, dy, spf_prec, compose))),
+            ("succ-of-prec", lhs_sp, LinComb(_times(sx0, dy, spf_prec, compose))),
+            ("prec-of-succ", lhs_ps, LinComb(_times(px, ly, spf_succ, compose))),
+            ("succ-of-succ", lhs_ss, LinComb(_times(sx, ly, spf_succ, compose))),
         )
 
 

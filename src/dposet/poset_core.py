@@ -770,10 +770,7 @@ def _sp_masks(n, heap=False):
     out = []
     for up in _sp_masks(n - 1, heap):
         m = n - 1
-        down = [0] * m
-        for v in range(m):
-            for w in _bits(up[v]):
-                down[w] |= 1 << v
+        down = _downs(m, up)
         for D in range(1 << m):
             ok = True
             common = (1 << m) - 1

@@ -88,8 +88,7 @@ def test_zero_denominator_is_a_bad_scalar_literal(text):
 
 @pytest.mark.parametrize("text", ["7", "007", " 7 ", "(7)"])
 def test_plain_integer_scalars_parse_as_the_general_route_does(text):
-    """A plain ASCII integer skips the term grammar; writing it as ``n/1``
-    sends the same digits through the grammar."""
+    """A plain integer reads as the same digits written as ``n/1`` do."""
     general = parse_scalar(text.replace("7", "7/1"))
     value = parse_scalar(text)
     assert type(value) is type(general) is Fraction
@@ -357,6 +356,22 @@ def test_picture_count_matches_the_search_alone(family, n):
             proved += not admitted
     if (family, n) == ("pp", 5):
         assert (proved, zeros) == (5163, 5465)
+
+
+def test_picture_count_skips_the_search_on_pairs_the_set_sizes_reject(monkeypatch):
+    # the pp 5 Gram build counts each of its 120 * 121 / 2 unordered pairs
+    # once; 5,163 of them are proved empty and only 2,097 searched
+    verdicts = []
+    admit = algebra._sizes_admit_picture
+
+    def counting(P, Q):
+        verdicts.append(admit(P, Q))
+        return verdicts[-1]
+
+    monkeypatch.setattr(algebra, "_sizes_admit_picture", counting)
+    algebra._picture_count.cache_clear()
+    algebra._gram_of(enumerate_family("pp", 5))
+    assert (len(verdicts), verdicts.count(False), verdicts.count(True)) == (7260, 5163, 2097)
 
 
 def pairing_by_pictures(x, y):

@@ -2,6 +2,7 @@
 half-products on special plane forests, and the axiom suites."""
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -18,8 +19,8 @@ from dposet.algebra import (
 )
 from dposet.dupdend import (
     AXIOM_SUITES,
-    _mix_terms,
     _span,
+    _times,
     check_axioms,
     prim_tot_basis,
     sp_dendriform_coproducts,
@@ -454,7 +455,179 @@ def test_span_and_mix_match_the_tensor_of_route():
             assert _span(tx, left, right) == _span_by_tensor_of(tx, left, right)
     for left in binary:
         for right in binary:
-            assert LinComb(_mix_terms(tx, ty, left, right)) == _mix_by_tensor_of(tx, ty, left, right)
+            assert LinComb(_times(tx, ty, left, right)) == _mix_by_tensor_of(tx, ty, left, right)
+
+
+# -- the compatibility identities against their term-by-term expansions ----------
+#
+# The reference builds each right side from its expansion, one term stream
+# per kind of term, with its own copies of the stream builders.
+
+
+def _tensor_terms(c, left, right):
+    """The terms of ``c * left (x) right``; a bare key is one term."""
+    left, right = (v.items() if isinstance(v, LinComb) else ((v, 1),) for v in (left, right))
+    return ((Tensor(K, L), c * d * e) for K, d in left for L, e in right)
+
+
+def _span_terms(tens, left, right):
+    """The terms of left(a) (x) right(b) over the terms a (x) b of ``tens``."""
+    return (
+        term
+        for T, c in tens.items()
+        for term in _tensor_terms(c, left(T.factors[0]), right(T.factors[1]))
+    )
+
+
+def _mix_terms(tx, ty, left, right):
+    """The terms of left(a, u) (x) right(b, v) over the terms a (x) b of
+    ``tx`` and u (x) v of ``ty``."""
+    return (
+        term
+        for Tx, c in tx.items()
+        for Ty, d in ty.items()
+        for term in _tensor_terms(
+            c * d, left(Tx.factors[0], Ty.factors[0]), right(Tx.factors[1], Ty.factors[1])
+        )
+    )
+
+
+def _expanded_dupdend_compat(P, Q):
+    dx = reduced_coproduct(P)
+    px, sx = dupdend.sp_dendriform_coproducts(P)
+    py, sy = dupdend.sp_dendriform_coproducts(Q)
+    return {
+        "product-prec": LinComb(chain(
+            _tensor_terms(1, Q, P),
+            _span_terms(py, lambda a: a, lambda b: compose(P, b)),
+            _span_terms(py, lambda a: compose(P, a), lambda b: b),
+            _span_terms(dx, lambda a: compose(a, Q), lambda b: b),
+            _mix_terms(dx, py, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+        )),
+        "product-succ": LinComb(chain(
+            _tensor_terms(1, P, Q),
+            _span_terms(sy, lambda a: compose(P, a), lambda b: b),
+            _span_terms(sy, lambda a: a, lambda b: compose(P, b)),
+            _span_terms(dx, lambda a: a, lambda b: compose(b, Q)),
+            _mix_terms(dx, sy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+        )),
+        "nwarrow-prec": LinComb(chain(
+            _span_terms(py, lambda a: nwarrow(P, a), lambda b: b),
+            _span_terms(px, lambda a: nwarrow(a, Q), lambda b: b),
+            _mix_terms(px, py, lambda a, u: nwarrow(a, u), lambda b, v: compose(b, v)),
+        )),
+        "nwarrow-succ": LinComb(chain(
+            _tensor_terms(1, P, Q),
+            _span_terms(sy, lambda a: nwarrow(P, a), lambda b: b),
+            _span_terms(sx, lambda a: a, lambda b: nwarrow(b, Q)),
+            _span_terms(px, lambda a: a, lambda b: compose(b, Q)),
+            _mix_terms(px, sy, lambda a, u: nwarrow(a, u), lambda b, v: compose(b, v)),
+        )),
+    }
+
+
+def _expanded_codendriform(P, Q):
+    px, sx = dupdend.spp_dendriform_coproducts(P)
+    dy = reduced_coproduct(Q)
+    return {
+        "coproduct-prec-of-product": LinComb(chain(
+            _tensor_terms(1, P, Q),
+            _span_terms(px, lambda a: compose(a, Q), lambda b: b),
+            _span_terms(px, lambda a: a, lambda b: compose(b, Q)),
+            _span_terms(dy, lambda a: compose(P, a), lambda b: b),
+            _mix_terms(px, dy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+        )),
+        "coproduct-succ-of-product": LinComb(chain(
+            _tensor_terms(1, Q, P),
+            _span_terms(sx, lambda a: compose(a, Q), lambda b: b),
+            _span_terms(sx, lambda a: a, lambda b: compose(b, Q)),
+            _span_terms(dy, lambda a: a, lambda b: compose(P, b)),
+            _mix_terms(sx, dy, lambda a, u: compose(a, u), lambda b, v: compose(b, v)),
+        )),
+    }
+
+
+def _expanded_dendriform_hopf(P, Q):
+    dx, dy = reduced_coproduct(P), reduced_coproduct(Q)
+    spf_prec, spf_succ = dupdend.spf_prec, dupdend.spf_succ
+    return {
+        "reduced-coproduct-of-prec": LinComb(chain(
+            _tensor_terms(1, P, Q),
+            _span_terms(dy, lambda a: spf_prec(P, a), lambda b: b),
+            _span_terms(dx, lambda a: a, lambda b: compose(b, Q)),
+            _span_terms(dx, lambda a: spf_prec(a, Q), lambda b: b),
+            _mix_terms(dx, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
+        )),
+        "reduced-coproduct-of-succ": LinComb(chain(
+            _tensor_terms(1, Q, P),
+            _span_terms(dy, lambda a: spf_succ(P, a), lambda b: b),
+            _span_terms(dy, lambda a: a, lambda b: compose(P, b)),
+            _span_terms(dx, lambda a: spf_succ(a, Q), lambda b: b),
+            _mix_terms(dx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
+        )),
+    }
+
+
+def _expanded_bidendriform(P, Q):
+    px, sx = dupdend.spp_dendriform_coproducts(P)
+    dy = reduced_coproduct(Q)
+    spf_prec, spf_succ = dupdend.spf_prec, dupdend.spf_succ
+    return {
+        "prec-of-prec": LinComb(chain(
+            _tensor_terms(1, P, Q),
+            _span_terms(dy, lambda a: spf_prec(P, a), lambda b: b),
+            _span_terms(px, lambda a: a, lambda b: compose(b, Q)),
+            _span_terms(px, lambda a: spf_prec(a, Q), lambda b: b),
+            _mix_terms(px, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
+        )),
+        "succ-of-prec": LinComb(chain(
+            _span_terms(sx, lambda a: a, lambda b: compose(b, Q)),
+            _span_terms(sx, lambda a: spf_prec(a, Q), lambda b: b),
+            _mix_terms(sx, dy, lambda a, u: spf_prec(a, u), lambda b, v: compose(b, v)),
+        )),
+        "prec-of-succ": LinComb(chain(
+            _span_terms(px, lambda a: spf_succ(a, Q), lambda b: b),
+            _span_terms(dy, lambda a: spf_succ(P, a), lambda b: b),
+            _mix_terms(px, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
+        )),
+        "succ-of-succ": LinComb(chain(
+            _tensor_terms(1, Q, P),
+            _span_terms(dy, lambda a: a, lambda b: compose(P, b)),
+            _span_terms(sx, lambda a: spf_succ(a, Q), lambda b: b),
+            _mix_terms(sx, dy, lambda a, u: spf_succ(a, u), lambda b, v: compose(b, v)),
+        )),
+    }
+
+
+# suite -> (P, Q) -> {axiom: its right side, each identity's terms written out}
+EXPANDED = {
+    "dupdend-compat": _expanded_dupdend_compat,
+    "codendriform": _expanded_codendriform,
+    "dendriform-hopf": _expanded_dendriform_hopf,
+    "bidendriform": _expanded_bidendriform,
+}
+
+
+def _assert_sides_match_the_expansions(suite, max_degree):
+    checked = 0
+    for (P, Q), cases in dupdend._SUITE_RUNNERS[suite](max_degree):
+        assert {axiom: rhs for axiom, _, rhs in cases} == EXPANDED[suite](P, Q), (P, Q)
+        checked += len(cases)
+    return checked
+
+
+@pytest.mark.parametrize("suite", list(EXPANDED))
+def test_identities_match_their_term_by_term_expansions_through_degree_five(suite):
+    assert _assert_sides_match_the_expansions(suite, 5) > 0
+
+
+@pytest.mark.parametrize("fault", ["lossy-split", "swapped-nwarrow", "swapped-prec"])
+@pytest.mark.parametrize("suite", list(EXPANDED))
+def test_identities_match_their_expansions_under_a_planted_fault(monkeypatch, suite, fault):
+    # the right sides read the faulty operation as the expansions do, so the
+    # violation reports stay those of the expansions
+    monkeypatch.setattr(dupdend, *FAULTS[fault])
+    assert _assert_sides_match_the_expansions(suite, 4) > 0
 
 
 def test_half_product_caches_keep_every_entry_of_the_degree_five_suites():
