@@ -6,7 +6,8 @@ entries; every computation here is exact.  The module provides three layers:
 * generic kernels, determinants, inverses, and products over the scalar
   field (:func:`rank_kernel`, :func:`det`, :func:`mat_inverse`, ...);
   :func:`mat_mul` scales every row and column to integers over a common
-  denominator and multiplies with integer dot products.  There is one
+  denominator and multiplies with :func:`_products`, the one integer
+  product, which sums over pairs of nonzero entries alone.  There is one
   elimination, :func:`_eliminate`: it scales every row the same way and
   runs fraction-free Gauss-Jordan (Bareiss); the kernel, the determinant
   and the inverse are read off its result with one division each;
@@ -14,7 +15,10 @@ entries; every computation here is exact.  The module provides three layers:
   a certified unimodular change of basis into blocks ``(1)``, ``(-1)``, and
   the hyperbolic plane ``[[0, 1], [1, 0]]`` (:func:`congruence_diagonalize`,
   which inverts nothing; a determinant only names a failure, or refuses a
-  form before the slow part of the search);
+  form before the slow part of the search).  The steps at block ``k`` touch
+  only indices ``>= k``, so the working matrix is updated on its trailing
+  block alone, and the certificate ``T @ A @ T.T`` is checked entry by
+  entry with every sum taken over nonzero entries only;
 * graded isometries between the plane and special-plane Hopf algebras: over
   the Gaussian rationals every certified block becomes the identity, so any
   two same-size symmetric unimodular matrices are isometric
@@ -38,7 +42,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
-from operator import floordiv, mul, truediv
+from operator import floordiv, truediv
 
 from .algebra import (
     GaussRat,
@@ -123,27 +127,52 @@ def _integer_vectors(vectors):
     return out
 
 
+def _products(rows, cols):
+    """The int matrix of each row's dot product with each column, summed over
+    pairs of nonzero entries alone: a row's nonzero ``x`` at ``i`` adds
+    ``x * y`` to the cell of each column with a nonzero ``y`` at ``i``."""
+    cols = list(cols)
+    at = {}
+    for j, col in enumerate(cols):
+        for i, y in enumerate(col):
+            if y:
+                at.setdefault(i, []).append((j, y))
+    out = []
+    for row in rows:
+        cells = [0] * len(cols)
+        for i, x in enumerate(row):
+            if x:
+                for j, y in at.get(i, ()):
+                    cells[j] += x * y
+        out.append(cells)
+    return out
+
+
 def mat_mul(A, B):
     """Exact matrix product; scalar types mix freely.
 
     Every row of ``A`` and column of ``B`` is scaled to integers first, so
-    each cell is a few integer dot products and one normalized scalar.
+    each cell is an integer dot product over pairs of nonzero entries
+    (:func:`_products`) and one normalized scalar.  A Gaussian row ``re + im*I``
+    is the real row ``re | im``, dotted with ``re | -im`` and ``im | re`` of
+    each column for the two parts.
     """
     if A and len(A[0]) != len(B):
         raise ValueError("matrix size mismatch")
+    rows = _integer_vectors(A)
     cols = _integer_vectors(zip(*B))
+    if any(im is not None for _, _, im in rows + cols):
+        zero = [0] * len(B)
+        left = [re + (im or zero) for _, re, im in rows]
+        real = _products(left, [re + ([-x for x in im] if im else zero) for _, re, im in cols])
+        imag = _products(left, [(im or zero) + re for _, re, im in cols])
+    else:
+        real = _products([re for _, re, _ in rows], [re for _, re, _ in cols])
+        imag = [[0] * len(cols)] * len(rows)
     out = []
-    for da, ar, ai in _integer_vectors(A):
+    for (da, _, _), re_row, im_row in zip(rows, real, imag):
         row = []
-        for db, br, bi in cols:
-            re = sum(map(mul, ar, br))
-            im = 0
-            if ai is not None:
-                im = sum(map(mul, ai, br))
-                if bi is not None:
-                    re -= sum(map(mul, ai, bi))
-            if bi is not None:
-                im += sum(map(mul, ar, bi))
+        for (db, _, _), re, im in zip(cols, re_row, im_row):
             d = da * db
             row.append(GaussRat(Fraction(re, d), Fraction(im, d)) if im else Fraction(re, d))
         out.append(row)
@@ -317,23 +346,27 @@ def _block_diagonal(blocks, shapes):
 
 
 def _int_symmetric(A):
-    rows = _matrix(A)
+    """``A`` as lists of ints, checked to be a symmetric integer matrix; a
+    square matrix of ints is copied as it is, any other goes through
+    :func:`_matrix`, which refuses a ragged one."""
+    rows = [list(row) for row in A]
     n = len(rows)
-    if any(len(row) != n for row in rows):
+    if not all(len(row) == n and all(type(x) is int for x in row) for row in rows):
+        rows = _matrix(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix not symmetric")
+        if not all(_is_integral(x) for row in rows for x in row):
+            raise ValueError("matrix not unimodular")
+        rows = [[int(x) for x in row] for row in rows]
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix not symmetric")
-    out = []
-    for row in rows:
-        ints = []
-        for x in row:
-            if not _is_integral(x):
-                raise ValueError("matrix not unimodular")
-            ints.append(int(x))
-        out.append(ints)
-    for i in range(n):
-        for j in range(n):
-            if out[i][j] != out[j][i]:
-                raise ValueError("matrix not symmetric")
-    return out
+    return rows
+
+
+def _congruent(T, A):
+    """``T @ A @ T.T`` over the ints by :func:`_products`, which sums over
+    nonzero entries alone: ``X = T @ A``, then ``X @ T.T``."""
+    return _products(_products(T, zip(*A)), T)
 
 
 def _complete_unimodular(v):
@@ -422,8 +455,14 @@ def congruence_diagonalize(A):
     unimodular block diagonalization found") when the search gives out (for
     instance on even definite forms, which admit no such blocks).
 
-    A success takes no determinant: ``T`` is a product of unimodular steps
-    and ``T @ A @ T.T`` is checked to be the blocks, so ``|det A| == 1``.
+    Every step at block ``k`` reads and writes indices ``>= k`` only, and
+    the rows and columns below ``k`` are final and zero outside their
+    blocks, so the working matrix ``M`` is updated on its trailing block
+    alone (``T`` keeps full rows), and a ``(1)`` or ``(-1)`` pivot clears its
+    column in one Schur-complement pass.  A success takes no determinant:
+    ``T`` is a product of unimodular steps and every entry of ``T @ A @ T.T``
+    is checked to be the blocks' (:func:`_congruent`, which sums over nonzero
+    entries only), so ``|det A| == 1``.
     ``det`` names a failure, and is also taken before the first
     shrink-and-hunt step: those O(m^4) steps would otherwise spend the whole
     fuel budget on a form that is not unimodular.
@@ -446,41 +485,36 @@ def congruence_diagonalize(A):
         if fuel <= 0:
             fail()
 
+    # M is updated on its trailing block M[k:][k:] alone (see above)
     def radd(i, j, t):
         # symmetric row-and-column operation R_i += t R_j
-        M[i] = [a + t * b for a, b in zip(M[i], M[j])]
-        for row in M:
+        M[i][k:] = [a + t * b for a, b in zip(M[i][k:], M[j][k:])]
+        for row in M[k:]:
             row[i] += t * row[j]
         T[i] = [a + t * b for a, b in zip(T[i], T[j])]
 
     def rswap(i, j):
         M[i], M[j] = M[j], M[i]
-        for row in M:
+        for row in M[k:]:
             row[i], row[j] = row[j], row[i]
         T[i], T[j] = T[j], T[i]
 
     def rneg(i):
-        M[i] = [-a for a in M[i]]
-        for row in M:
+        M[i][k:] = [-a for a in M[i][k:]]
+        for row in M[k:]:
             row[i] = -row[i]
         T[i] = [-a for a in T[i]]
 
-    def apply_block(k0, U):
-        u = len(U)
-        segment = [M[k0 + i][:] for i in range(u)]
-        for i in range(u):
-            M[k0 + i] = [
-                sum(U[i][j] * segment[j][c] for j in range(u)) for c in range(n)
-            ]
-        for row in M:
-            seg = [row[k0 + j] for j in range(u)]
-            for i in range(u):
-                row[k0 + i] = sum(U[i][j] * seg[j] for j in range(u))
-        tseg = [T[k0 + i][:] for i in range(u)]
-        for i in range(u):
-            T[k0 + i] = [
-                sum(U[i][j] * tseg[j][c] for j in range(u)) for c in range(n)
-            ]
+    def apply_block(U):
+        # rows and columns k .. k+len(U)-1 become U times themselves
+        end = k + len(U)
+        rows = _products(U, zip(*(row[k:] for row in M[k:end])))
+        for row, new in zip(M[k:end], rows):
+            row[k:] = new
+        cols = _products((row[k:end] for row in M[k:]), U)
+        for row, new in zip(M[k:], cols):
+            row[k:end] = new
+        T[k:end] = _products(U, zip(*T[k:end]))
 
     blocks = []
     k = 0
@@ -490,10 +524,22 @@ def congruence_diagonalize(A):
         if unit is not None:
             if unit != k:
                 rswap(k, unit)
+            # one Schur-complement pass clears column k: with L the row
+            # operations R_a -= s*M[a][k] R_k together, L M L.T zeroes row
+            # and column k off the diagonal and, as s*s*s == s, changes
+            # M[a][b] by -s*M[a][k]*M[k][b] for a, b > k; the pass runs over
+            # the nonzero M[a][k], M[k][b] and T[k][c] alone
             s = M[k][k]
-            for j in range(k + 1, n):
-                if M[j][k]:
-                    radd(j, k, -M[j][k] * s)
+            column = [(a, M[a][k]) for a in range(k + 1, n) if M[a][k]]
+            tk = [(c, y) for c, y in enumerate(T[k]) if y]
+            for a, f in column:
+                g = s * f
+                row, ta = M[a], T[a]
+                for b, y in column:
+                    row[b] -= g * y
+                row[k] = M[k][a] = 0
+                for c, y in tk:
+                    ta[c] -= g * y
             blocks.append("plus_one" if s == 1 else "minus_one")
             k += 1
             continue
@@ -536,7 +582,7 @@ def congruence_diagonalize(A):
             if M[k + 1][k + 1] == 0:
                 blocks.append("hyperbolic")
             else:
-                apply_block(k, ((0, -1), (-1, 1)))
+                apply_block(((0, -1), (-1, 1)))
                 blocks.append("plus_one")
                 blocks.append("minus_one")
             k += 2
@@ -591,9 +637,9 @@ def congruence_diagonalize(A):
         v, fuel = _short_unit_vector(M, k, fuel)
         if v is None:
             fail()
-        apply_block(k, _complete_unimodular(v))
+        apply_block(_complete_unimodular(v))
     B = _block_diagonal(blocks, BLOCK_SHAPES)
-    if mat_mul(mat_mul(T, A0), mat_transpose(T)) != B or M != B:
+    if _congruent(T, A0) != B or M != B:
         raise AssertionError("congruence bookkeeping failed")
     return CongruenceCertificate(
         matrix=tuple(tuple(row) for row in A0),

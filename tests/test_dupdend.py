@@ -39,6 +39,7 @@ from dposet.poset_core import (
     enumerate_family,
     ideals,
     nwarrow,
+    parse_poset,
     restrict,
 )
 
@@ -238,6 +239,37 @@ def test_spf_half_products_reject_non_forests():
 def test_spf_half_products_reject_degree_zero_terms():
     with pytest.raises(ValueError, match="degree-0 term present"):
         spf_prec(lc("SP(0;)"), lc("SP(1;)"))
+
+
+def test_spf_half_products_check_each_basis_key_once(monkeypatch):
+    checked = []
+    test = dupdend.is_special_plane_forest
+    monkeypatch.setattr(dupdend, "is_special_plane_forest", lambda P: checked.append(P) or test(P))
+    dupdend._forest_key.cache_clear()
+    keys = [F for n in range(1, 4) for F in enumerate_family("spf", n)]
+    products = [(spf_prec(F, G), spf_succ(F, G)) for _ in range(2) for F in keys for G in keys]
+    assert sorted(checked, key=lambda P: P.sort_key()) == sorted(keys, key=lambda P: P.sort_key())
+    # a bare key gives what its one-term combination gives
+    expected = [
+        (spf_prec(LinComb.basis(F), LinComb.basis(G)), spf_succ(LinComb.basis(F), LinComb.basis(G)))
+        for F in keys
+        for G in keys
+    ]
+    assert products == expected * 2
+
+
+@pytest.mark.parametrize("half", [spf_prec, spf_succ])
+def test_spf_half_products_reject_bare_keys_as_combinations(half):
+    tree, point, empty = parse_poset("SP(3; 1<3, 2<3)"), parse_poset("SP(1;)"), parse_poset("SP(0;)")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^not a special plane forest$"):
+            half(point, tree)
+        with pytest.raises(ValueError, match="^not a special plane forest$"):
+            half(tree, point)
+        with pytest.raises(ValueError, match="^degree-0 term present$"):
+            half(empty, point)
+        with pytest.raises(ValueError, match="^degree-0 term present$"):
+            half(point, empty)
 
 
 # -- totally primitive elements ----------------------------------------------------
@@ -631,7 +663,7 @@ def test_identities_match_their_expansions_under_a_planted_fault(monkeypatch, su
 
 
 def test_half_product_caches_keep_every_entry_of_the_degree_five_suites():
-    caches = (dupdend._prec_basis,)
+    caches = (dupdend._prec_basis, dupdend._forest_key)
     for cache in caches:
         cache.cache_clear()
     for suite in ("dendriform-hopf", "bidendriform", "lemma36-adjunction"):

@@ -5,6 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from dposet import linalg
 from dposet.algebra import GaussRat, LinComb, gram_matrix, normalize_scalar, parse_lincomb
 from dposet.linalg import (
+    BLOCK_SHAPES,
+    CONGRUENCE_FUEL,
     ISOMETRY_VARIANTS,
     CongruenceCertificate,
     GradedMapSpec,
@@ -27,6 +30,7 @@ from dposet.linalg import (
     rank_kernel,
     verify_graded_isometry,
 )
+from dposet.linalg import _block_diagonal, _complete_unimodular, _is_integral, _matrix, _short_unit_vector
 from dposet.poset_core import SpecialPoset, enumerate_family, parse_poset
 
 from conftest import random_unimodular_symmetric
@@ -321,6 +325,315 @@ def test_congruence_diagonalize_random_matrices(monkeypatch):
         assert calls in ([], [M])
         hunted += bool(calls)
     assert 0 < hunted < 40
+
+
+# The search as it was before M was updated on its trailing block alone and
+# before the certificate was summed over nonzero entries, kept verbatim but
+# for its two names: every step updates M's full rows and columns, a unit
+# pivot clears its column one radd at a time, and T A T.T goes through mat_mul.
+
+
+def reference_int_symmetric(A):
+    rows = _matrix(A)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix not symmetric")
+    out = []
+    for row in rows:
+        ints = []
+        for x in row:
+            if not _is_integral(x):
+                raise ValueError("matrix not unimodular")
+            ints.append(int(x))
+        out.append(ints)
+    for i in range(n):
+        for j in range(n):
+            if out[i][j] != out[j][i]:
+                raise ValueError("matrix not symmetric")
+    return out
+
+
+def reference_congruence_diagonalize(A):
+    """Certified block diagonalization of a symmetric unimodular matrix.
+
+    Returns a :class:`CongruenceCertificate` with blocks drawn from ``(1)``,
+    ``(-1)``, and the hyperbolic plane.  Raises ValueError("matrix not
+    symmetric"), ValueError("matrix not unimodular"), or ValueError("no
+    unimodular block diagonalization found") when the search gives out (for
+    instance on even definite forms, which admit no such blocks).
+
+    A success takes no determinant: ``T`` is a product of unimodular steps
+    and ``T @ A @ T.T`` is checked to be the blocks, so ``|det A| == 1``.
+    ``det`` names a failure, and is also taken before the first
+    shrink-and-hunt step: those O(m^4) steps would otherwise spend the whole
+    fuel budget on a form that is not unimodular.
+    """
+    A0 = reference_int_symmetric(A)
+    n = len(A0)
+    M = [row[:] for row in A0]
+    T = identity_matrix(n)
+    fuel = CONGRUENCE_FUEL
+    unimodular = cache(lambda: det(A0) in (1, -1))
+
+    def fail():
+        if unimodular():
+            raise ValueError("no unimodular block diagonalization found")
+        raise ValueError("matrix not unimodular")
+
+    def spend():
+        nonlocal fuel
+        fuel -= 1
+        if fuel <= 0:
+            fail()
+
+    def radd(i, j, t):
+        # symmetric row-and-column operation R_i += t R_j
+        M[i] = [a + t * b for a, b in zip(M[i], M[j])]
+        for row in M:
+            row[i] += t * row[j]
+        T[i] = [a + t * b for a, b in zip(T[i], T[j])]
+
+    def rswap(i, j):
+        M[i], M[j] = M[j], M[i]
+        for row in M:
+            row[i], row[j] = row[j], row[i]
+        T[i], T[j] = T[j], T[i]
+
+    def rneg(i):
+        M[i] = [-a for a in M[i]]
+        for row in M:
+            row[i] = -row[i]
+        T[i] = [-a for a in T[i]]
+
+    def apply_block(k0, U):
+        u = len(U)
+        segment = [M[k0 + i][:] for i in range(u)]
+        for i in range(u):
+            M[k0 + i] = [
+                sum(U[i][j] * segment[j][c] for j in range(u)) for c in range(n)
+            ]
+        for row in M:
+            seg = [row[k0 + j] for j in range(u)]
+            for i in range(u):
+                row[k0 + i] = sum(U[i][j] * seg[j] for j in range(u))
+        tseg = [T[k0 + i][:] for i in range(u)]
+        for i in range(u):
+            T[k0 + i] = [
+                sum(U[i][j] * tseg[j][c] for j in range(u)) for c in range(n)
+            ]
+
+    blocks = []
+    k = 0
+    while k < n:
+        spend()
+        unit = next((i for i in range(k, n) if abs(M[i][i]) == 1), None)
+        if unit is not None:
+            if unit != k:
+                rswap(k, unit)
+            s = M[k][k]
+            for j in range(k + 1, n):
+                if M[j][k]:
+                    radd(j, k, -M[j][k] * s)
+            blocks.append("plus_one" if s == 1 else "minus_one")
+            k += 1
+            continue
+        zero = next((i for i in range(k, n) if M[i][i] == 0), None)
+        if zero is not None:
+            if zero != k:
+                rswap(k, zero)
+            # reduce the subcolumn below the zero diagonal entry to a unit
+            while True:
+                spend()
+                nz = [j for j in range(k + 1, n) if M[j][k]]
+                if not nz:
+                    fail()
+                jmin = min(nz, key=lambda j: abs(M[j][k]))
+                if abs(M[jmin][k]) == 1:
+                    break
+                progress = False
+                for j in nz:
+                    if j == jmin:
+                        continue
+                    q = round(Fraction(M[j][k], M[jmin][k]))
+                    if q:
+                        radd(j, jmin, -q)
+                        progress = True
+                if not progress:
+                    fail()
+            if jmin != k + 1:
+                rswap(k + 1, jmin)
+            if M[k + 1][k] == -1:
+                rneg(k + 1)
+            for j in range(k + 2, n):
+                if M[j][k]:
+                    radd(j, k + 1, -M[j][k])
+            for j in range(k + 2, n):
+                if M[j][k + 1]:
+                    radd(j, k, -M[j][k + 1])
+            lam = M[k + 1][k + 1] // 2
+            if lam:
+                radd(k + 1, k, -lam)
+            if M[k + 1][k + 1] == 0:
+                blocks.append("hyperbolic")
+            else:
+                apply_block(k, ((0, -1), (-1, 1)))
+                blocks.append("plus_one")
+                blocks.append("minus_one")
+            k += 2
+            continue
+        # every trailing diagonal entry has absolute value >= 2: shrink the
+        # block, then hunt for a short primitive vector of unit or zero
+        # self-product
+        if not unimodular():
+            fail()
+
+        def active_size():
+            return sum(M[i][j] * M[i][j] for i in range(k, n) for j in range(k, n))
+
+        reduced = False
+        while True:
+            spend()
+            best = None
+            size = active_size()
+            for i in range(k, n):
+                for j in range(k, n):
+                    if i == j:
+                        continue
+                    candidates = {-3, -2, -1, 1, 2, 3}
+                    if M[j][j]:
+                        q = round(Fraction(M[i][j], M[j][j]))
+                        candidates.update((-q, -q - 1, -q + 1))
+                    if M[i][j]:
+                        q = round(Fraction(M[i][i], 2 * M[i][j]))
+                        candidates.update((-q, -q - 1, -q + 1))
+                    row_dot = sum(M[i][r] * M[j][r] for r in range(k, n))
+                    row_sq = sum(M[j][r] * M[j][r] for r in range(k, n))
+                    if row_sq:
+                        q = round(Fraction(row_dot, row_sq))
+                        candidates.update((-q, -q - 1, -q + 1))
+                    for t in candidates:
+                        if not t:
+                            continue
+                        radd(i, j, t)
+                        trial = active_size()
+                        radd(i, j, -t)
+                        if trial < size and (best is None or trial < best[0]):
+                            best = (trial, i, j, t)
+            if best is None:
+                break
+            _, i, j, t = best
+            radd(i, j, t)
+            reduced = True
+            if any(abs(M[i][i]) <= 1 for i in range(k, n)):
+                break
+        if reduced and any(abs(M[i][i]) <= 1 for i in range(k, n)):
+            continue
+        v, fuel = _short_unit_vector(M, k, fuel)
+        if v is None:
+            fail()
+        apply_block(k, _complete_unimodular(v))
+    B = _block_diagonal(blocks, BLOCK_SHAPES)
+    if mat_mul(mat_mul(T, A0), mat_transpose(T)) != B or M != B:
+        raise AssertionError("congruence bookkeeping failed")
+    return CongruenceCertificate(
+        matrix=tuple(tuple(row) for row in A0),
+        transform=tuple(tuple(row) for row in T),
+        blocks=tuple(blocks),
+        block_matrix=tuple(tuple(row) for row in B),
+    )
+
+
+def _reference_outcome(diagonalize, M):
+    try:
+        cert = diagonalize(M)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return cert.transform, cert.blocks, cert.block_matrix, cert.matrix
+
+
+# the Gram forms of the families whose degree-5 certificates take seconds or
+# less by the reference search
+REFERENCE_GRAMS = [(f, n) for f in ("pp", "spp", "pf", "spf", "hof", "wnp", "swnp") for n in range(1, 6)]
+REFERENCE_GRAMS += [("pf", 6), ("spf", 6)]
+
+
+@pytest.mark.parametrize("family, n", REFERENCE_GRAMS)
+def test_congruence_matches_the_reference_on_gram_forms(family, n):
+    G = gram_matrix(family, n)
+    assert _reference_outcome(congruence_diagonalize, G) == _reference_outcome(
+        reference_congruence_diagonalize, G
+    )
+
+
+def test_congruence_matches_the_reference_on_random_forms():
+    rng = random.Random(20261019)
+    for size in range(1, 13):
+        for case in range(4):
+            M = random_unimodular_symmetric(rng, size)
+            assert _reference_outcome(congruence_diagonalize, M) == _reference_outcome(
+                reference_congruence_diagonalize, M
+            )
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        pytest.param([[0, 1], [2, 0]], id="not-symmetric"),
+        pytest.param([[1, 0], [0]], id="ragged"),
+        pytest.param([[1, 2, 3]], id="not-square"),
+        pytest.param([[2, 1], [1, 2]], id="diagonal-two"),
+        pytest.param([[0, 2], [2, 0]], id="zero-diagonal"),
+        pytest.param([[2, 0], [0, 1]], id="unit-block"),
+        pytest.param([[Fraction(1, 2)]], id="fraction"),
+        pytest.param([[Fraction(1), 0], [0, -1]], id="integral-fraction"),
+        pytest.param([[True]], id="bool"),
+        pytest.param(e8_matrix(), id="E8"),
+        pytest.param([[2 * (i == j) for j in range(60)] for i in range(60)], id="2I-60"),
+        pytest.param([], id="empty"),
+    ],
+)
+def test_congruence_rejects_and_accepts_as_the_reference_does(M):
+    assert _reference_outcome(congruence_diagonalize, M) == _reference_outcome(
+        reference_congruence_diagonalize, M
+    )
+
+
+@pytest.mark.parametrize(
+    "T, A",
+    [
+        ([[1, 0, 0], [0, 0, 2], [3, -1, 0]], [[1, 2, 0], [2, 0, -1], [0, -1, 5]]),
+        ([[0, 0, 7], [1, 1, 1], [0, 0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, -1]]),
+        ([[5]], [[-3]]),
+        ([[0, 4], [-2, 0]], [[1, 2], [3, 4]]),
+        ([], []),
+    ],
+)
+def test_congruent_sums_over_nonzeros_to_the_full_product(T, A):
+    assert linalg._congruent(T, A) == mat_mul(mat_mul(T, A), mat_transpose(T))
+
+
+def test_congruent_matches_the_full_product_on_certificates():
+    for family in ("pp", "spf"):
+        cert = congruence_diagonalize(gram_matrix(family, 4))
+        T, A = [list(r) for r in cert.transform], [list(r) for r in cert.matrix]
+        assert linalg._congruent(T, A) == mat_mul(mat_mul(T, A), mat_transpose(T))
+
+
+def test_congruence_catches_one_changed_transform_entry(monkeypatch):
+    G = gram_matrix("pp", 4)
+    T = congruence_diagonalize(G).transform
+    zero = next((i, j) for i, row in enumerate(T) for j, x in enumerate(row) if not x)
+    nonzero = next((i, j) for i, row in enumerate(T) for j, x in enumerate(row) if x and i != j)
+    congruent = linalg._congruent
+    for i, j in (zero, nonzero, (0, 0), (len(T) - 1, len(T) - 1)):
+
+        def flipped(T, A, i=i, j=j):
+            T[i][j] = 1 - T[i][j] if T[i][j] in (0, 1) else -T[i][j]
+            return congruent(T, A)
+
+        monkeypatch.setattr(linalg, "_congruent", flipped)
+        with pytest.raises(AssertionError, match="^congruence bookkeeping failed$"):
+            congruence_diagonalize(G)
 
 
 # -- isometries between pairing matrices ------------------------------------------------
