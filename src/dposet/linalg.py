@@ -528,7 +528,8 @@ def congruence_diagonalize(A):
             # operations R_a -= s*M[a][k] R_k together, L M L.T zeroes row
             # and column k off the diagonal and, as s*s*s == s, changes
             # M[a][b] by -s*M[a][k]*M[k][b] for a, b > k; the pass runs over
-            # the nonzero M[a][k], M[k][b] and T[k][c] alone
+            # the nonzero M[a][k], M[k][b] (== M[b][k], M is symmetric) and
+            # T[k][c] alone
             s = M[k][k]
             column = [(a, M[a][k]) for a in range(k + 1, n) if M[a][k]]
             tk = [(c, y) for c, y in enumerate(T[k]) if y]
