@@ -13,12 +13,13 @@ entries; every computation here is exact.  The module provides three layers:
   and the inverse are read off its result with one division each;
 * integer congruence: a symmetric unimodular matrix is block-diagonalized by
   a certified unimodular change of basis into blocks ``(1)``, ``(-1)``, and
-  the hyperbolic plane ``[[0, 1], [1, 0]]`` (:func:`congruence_diagonalize`,
-  which inverts nothing; a determinant only names a failure, or refuses a
-  form before the slow part of the search).  The steps at block ``k`` touch
-  only indices ``>= k``, so the working matrix is updated on its trailing
-  block alone, and the certificate ``T @ A @ T.T`` is checked entry by
-  entry with every sum taken over nonzero entries only;
+  the hyperbolic plane ``[[0, 1], [1, 0]]`` (:func:`congruence_diagonalize`;
+  a determinant only names a failure, or refuses a form before the slow part
+  of the search).  Each pivot block ``(+-1)`` or ``[[0, +-1], [+-1, c]]``
+  clears the trailing block by one Schur-complement pass per pivot row, read
+  off its integral inverse; the steps at block ``k`` touch only indices
+  ``>= k``, and the certificate ``T @ A @ T.T`` is checked entry by entry
+  with every sum taken over nonzero entries only;
 * graded isometries between the plane and special-plane Hopf algebras: over
   the Gaussian rationals every certified block becomes the identity, so any
   two same-size symmetric unimodular matrices are isometric
@@ -455,11 +456,16 @@ def congruence_diagonalize(A):
     unimodular block diagonalization found") when the search gives out (for
     instance on even definite forms, which admit no such blocks).
 
-    Every step at block ``k`` reads and writes indices ``>= k`` only, and
-    the rows and columns below ``k`` are final and zero outside their
-    blocks, so the working matrix ``M`` is updated on its trailing block
-    alone (``T`` keeps full rows), and a ``(1)`` or ``(-1)`` pivot clears its
-    column in one Schur-complement pass.  A success takes no determinant:
+    Each step picks a pivot block ``(s)``, ``s = +-1``, or else ``P = [[0,
+    e], [e, c]]``, ``e = +-1``, from a zero diagonal entry whose subcolumn
+    Euclid's algorithm reduces to a unit.  The rows below become ``R_a -=
+    (C P^-1)_a`` for ``C`` the block's columns below it, with ``(s)^-1 =
+    (s)`` and ``P^-1 = [[-c, e], [e, 0]]``: one rank-one pass per pivot row
+    over nonzero entries.  One block operation then takes ``P`` to ``H``
+    (``c`` even) or ``(1) + (-1)`` (``c`` odd).  Every step at block ``k``
+    touches indices ``>= k`` only, and the rows and columns below ``k`` are
+    final, so ``M`` is updated on its trailing block alone (``T`` keeps full
+    rows).  A success takes no determinant:
     ``T`` is a product of unimodular steps and every entry of ``T @ A @ T.T``
     is checked to be the blocks' (:func:`_congruent`, which sums over nonzero
     entries only), so ``|det A| == 1``.
@@ -499,12 +505,6 @@ def congruence_diagonalize(A):
             row[i], row[j] = row[j], row[i]
         T[i], T[j] = T[j], T[i]
 
-    def rneg(i):
-        M[i][k:] = [-a for a in M[i][k:]]
-        for row in M[k:]:
-            row[i] = -row[i]
-        T[i] = [-a for a in T[i]]
-
     def apply_block(U):
         # rows and columns k .. k+len(U)-1 become U times themselves
         end = k + len(U)
@@ -516,6 +516,20 @@ def congruence_diagonalize(A):
             row[k:end] = new
         T[k:end] = _products(U, zip(*T[k:end]))
 
+    def clear(p, end, coefficients):
+        # R_a -= g R_p for each (a, g), a >= end: one rank-one Schur pass
+        # over the nonzero M[p][b], b >= end, and T[p][c], zeroing M[a][p]
+        mp = [(b, y) for b, y in enumerate(M[p][end:], end) if y]
+        tp = [(c, y) for c, y in enumerate(T[p]) if y]
+        for a, g in coefficients:
+            row, ta = M[a], T[a]
+            row[p] = M[p][a] = 0
+            if g:
+                for b, y in mp:
+                    row[b] -= g * y
+                for c, y in tp:
+                    ta[c] -= g * y
+
     blocks = []
     k = 0
     while k < n:
@@ -524,23 +538,9 @@ def congruence_diagonalize(A):
         if unit is not None:
             if unit != k:
                 rswap(k, unit)
-            # one Schur-complement pass clears column k: with L the row
-            # operations R_a -= s*M[a][k] R_k together, L M L.T zeroes row
-            # and column k off the diagonal and, as s*s*s == s, changes
-            # M[a][b] by -s*M[a][k]*M[k][b] for a, b > k; the pass runs over
-            # the nonzero M[a][k], M[k][b] (== M[b][k], M is symmetric) and
-            # T[k][c] alone
+            # the pivot (s) is its own inverse: R_a -= s*M[a][k] R_k
             s = M[k][k]
-            column = [(a, M[a][k]) for a in range(k + 1, n) if M[a][k]]
-            tk = [(c, y) for c, y in enumerate(T[k]) if y]
-            for a, f in column:
-                g = s * f
-                row, ta = M[a], T[a]
-                for b, y in column:
-                    row[b] -= g * y
-                row[k] = M[k][a] = 0
-                for c, y in tk:
-                    ta[c] -= g * y
+            clear(k, k + 1, [(a, s * M[a][k]) for a in range(k + 1, n) if M[a][k]])
             blocks.append("plus_one" if s == 1 else "minus_one")
             k += 1
             continue
@@ -569,23 +569,19 @@ def congruence_diagonalize(A):
                     fail()
             if jmin != k + 1:
                 rswap(k + 1, jmin)
-            if M[k + 1][k] == -1:
-                rneg(k + 1)
-            for j in range(k + 2, n):
-                if M[j][k]:
-                    radd(j, k + 1, -M[j][k])
-            for j in range(k + 2, n):
-                if M[j][k + 1]:
-                    radd(j, k, -M[j][k + 1])
-            lam = M[k + 1][k + 1] // 2
-            if lam:
-                radd(k + 1, k, -lam)
-            if M[k + 1][k + 1] == 0:
-                blocks.append("hyperbolic")
+            # the pivot P = [[0, e], [e, c]] has P^-1 = [[-c, e], [e, 0]]:
+            # R_a -= (e*y - c*x) R_k + e*x R_(k+1) for (x, y) = M[a][k:k+2]
+            e, c = M[k + 1][k], M[k + 1][k + 1]
+            below = [(a, M[a][k], M[a][k + 1]) for a in range(k + 2, n) if M[a][k] or M[a][k + 1]]
+            clear(k, k + 2, [(a, e * y - c * x) for a, x, y in below])
+            clear(k + 1, k + 2, [(a, e * x) for a, x, _ in below])
+            lam = c // 2
+            if c % 2:
+                apply_block(((lam, -e), (-1 - lam, e)))
+                blocks += ["plus_one", "minus_one"]
             else:
-                apply_block(((0, -1), (-1, 1)))
-                blocks.append("plus_one")
-                blocks.append("minus_one")
+                apply_block(((1, 0), (-lam, e)))
+                blocks.append("hyperbolic")
             k += 2
             continue
         # every trailing diagonal entry has absolute value >= 2: shrink the

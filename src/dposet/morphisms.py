@@ -173,6 +173,12 @@ def upsilon(x):
     kernel of theta: the composite of theta with its inverse over
     heap-ordered forests.  Fixes heap-ordered forests pointwise; a Hopf
     morphism and an isometry."""
+    x = as_lincomb(x)
+    if not all(is_special(P) for P, _ in x.items()):
+        raise ValueError("not a special poset")
+    top = max((P.n for P, _ in x.items()), default=0)
+    if top and top > max_degree():  # before theta, whose image grows as n!
+        raise ValueError("degree too large")
     return theta_hof_inverse(theta(x))
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from dposet import morphisms
 from dposet.algebra import parse_lincomb
 from dposet.cli import run
 from dposet.fqsym import parse_permutation
@@ -245,6 +246,20 @@ def test_upsilon_refuses_a_degree_past_the_cap(cli, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: degree too large\n"
+
+
+def test_upsilon_refuses_the_degree_before_building_theta(cli, monkeypatch):
+    def no_extensions(P):
+        raise AssertionError("theta's image was built")
+
+    monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
+    monkeypatch.setattr(morphisms, "_extensions", no_extensions)
+    for operand, message in (
+        ("SP(7;)", "degree too large"),
+        ("SP(1;) + SP(7;)", "degree too large"),
+        ("DP(7; o1:; o2:)", "not a special poset"),
+    ):
+        assert cli("upsilon", operand) == (1, "", f"error: {message}\n")
 
 
 def test_upsilon_reads_the_degree_cap_as_an_integer(cli, monkeypatch):

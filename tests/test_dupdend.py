@@ -239,6 +239,13 @@ def test_spf_half_products_reject_non_forests():
 def test_spf_half_products_reject_degree_zero_terms():
     with pytest.raises(ValueError, match="degree-0 term present"):
         spf_prec(lc("SP(0;)"), lc("SP(1;)"))
+    # the augmentation ideal is checked before any term is tested as a forest
+    for mixed in ("SP(0;) + SP(3; 1<3, 2<3)", "SP(3; 1<3, 2<3) + SP(0;)"):
+        for half in (spf_prec, spf_succ):
+            with pytest.raises(ValueError, match="^degree-0 term present$"):
+                half(lc(mixed), lc("SP(1;)"))
+            with pytest.raises(ValueError, match="^degree-0 term present$"):
+                half(lc("SP(1;)"), lc(mixed))
 
 
 def test_spf_half_products_check_each_basis_key_once(monkeypatch):

@@ -590,6 +590,14 @@ def test_congruence_matches_the_reference_on_random_forms():
         pytest.param(e8_matrix(), id="E8"),
         pytest.param([[2 * (i == j) for j in range(60)] for i in range(60)], id="2I-60"),
         pytest.param([], id="empty"),
+        # a first pivot block [[0, e], [e, c]] with e == -1, with c odd, with
+        # c even and nonzero, found through a subcolumn with no unit, and with
+        # trailing rows zero in one pivot column only
+        pytest.param([[0, -1, 2, 0], [-1, 4, 3, -1], [2, 3, 4, 3], [0, -1, 3, 0]], id="e-minus-one"),
+        pytest.param([[0, -1, 0, 0], [-1, 3, 3, 2], [0, 3, 0, -1], [0, 2, -1, -2]], id="c-odd"),
+        pytest.param([[0, 1, 0, 0], [1, 4, 3, 1], [0, 3, -2, -1], [0, 1, -1, 0]], id="c-even"),
+        pytest.param([[0, 2, 0, 3], [2, 0, -1, 1], [0, -1, 0, -2], [3, 1, -2, 3]], id="euclid"),
+        pytest.param([[0, -1, -2, 0], [-1, 2, 0, 2], [-2, 0, 0, -1], [0, 2, -1, 3]], id="one-zero"),
     ],
 )
 def test_congruence_rejects_and_accepts_as_the_reference_does(M):
