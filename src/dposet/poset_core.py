@@ -402,30 +402,33 @@ def _complement(P):
     return [P.up2[v] & ~(P.up1[v] | P.down1[v]) for v in range(P.n)]
 
 
-def _n_patterns():
-    first = DoublePoset(4, [(1, 2), (1, 4), (3, 4)], [(1, 3), (2, 3), (2, 4)])
-    second = DoublePoset(4, [(1, 3), (2, 3), (2, 4)], [(1, 2), (1, 4), (3, 4)])
-    return ((first.up1, first.up2), (second.up1, second.up2))
-
-
-_N_PATTERNS = _n_patterns()
-
-
-def is_plane_wn(P):
-    """Plane, and no four labels induce either of the two N-shaped plane posets."""
-    if not is_plane(P):
-        return False
-    if P.n < 4:
-        return True
-    for sub in itertools.combinations(range(1, P.n + 1), 4):
-        Q = _induced_relabel(restrict(P, sub))
-        if (Q.up1, Q.up2) in _N_PATTERNS:
-            return False
+def _n_free(up, down):
+    """No four labels induce an N (``a < b``, ``c < b``, ``c < d``, every
+    other pair incomparable), on closed up- and down-masks.  An ``a`` below
+    ``b`` and not below ``d`` is incomparable to ``d`` and below no ``c``
+    below ``d``, so it need only not be above ``c``."""
+    full = (1 << len(up)) - 1
+    for b, below in enumerate(down):
+        for d in _bits(full & ~below):  # d >= b leaves no candidates
+            lone = below & ~down[d]  # the candidates for a
+            if lone:
+                for c in _bits(below & down[d]):
+                    if lone & ~up[c]:
+                        return False
     return True
 
 
+def is_plane_wn(P):
+    """Plane, and no four labels induce either N-shaped plane poset.
+
+    Those two are the plane posets on four labels whose first order is an N,
+    and a restriction of a plane poset is plane with the induced suborder as
+    its first order, so this is a test of the first order alone."""
+    return is_plane(P) and _n_free(P.up1, P.down1)
+
+
 def is_special_wn(P):
-    return is_special_plane(P) and is_plane_wn(plane_version(P))
+    return is_special_plane(P) and _n_free(P.up1, P.down1)
 
 
 def is_special_plane_forest(P):
@@ -608,11 +611,6 @@ def induced_order_ranks(P):
     return [n - 1 - bin(m).count("1") for m in closed]
 
 
-def _induced_relabel(P):
-    """Relabel so the induced total order becomes the natural label order."""
-    return _relabel(P, induced_order_ranks(P))
-
-
 def plane_version(P):
     """The plane incarnation of a special plane poset.
 
@@ -635,7 +633,7 @@ def canonical_form(P):
     if is_special(P):
         return DoublePoset._from_masks(P.n, P.up1, P.up2)
     if is_plane(P):
-        return _induced_relabel(P)
+        return _relabel(P, induced_order_ranks(P))
     if P.n > 8:
         raise ValueError("canonical form of general double posets supported only up to 8 vertices")
     best = None

@@ -1,5 +1,7 @@
 """Construction, literals, families, and structural maps of double posets."""
 
+import itertools
+import json
 import random
 
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ideals_by_subsets, restrict_by_labels
-from dposet import poset_core
+from dposet import cli, poset_core
 from dposet.algebra import LinComb
+from dposet.fqsym import Permutation
+from dposet.morphisms import phi
 from dposet.poset_core import (
     DoublePoset,
     Family,
@@ -26,8 +30,10 @@ from dposet.poset_core import (
     is_heap_ordered,
     is_ordered_forest,
     is_plane,
+    is_plane_wn,
     is_special,
     is_special_plane,
+    is_special_wn,
     kappa,
     nwarrow,
     parse_poset,
@@ -431,6 +437,56 @@ def test_table_kernels_match_the_pair_list_constructions():
     for n in range(6):
         for F in forests[n]:
             _assert_live(b_plus(F), _b_plus_by_pairs(F))
+
+
+# The two N-shaped plane posets, relabelled along their induced total order.
+N_PATTERNS = [
+    DoublePoset(4, [(1, 2), (1, 4), (3, 4)], [(1, 3), (2, 3), (2, 4)]),
+    DoublePoset(4, [(1, 3), (2, 3), (2, 4)], [(1, 2), (1, 4), (3, 4)]),
+]
+
+
+def definitional_plane_wn(P):
+    """Plane, and no four labels, restricted and relabelled along their
+    induced total order, give either N pattern."""
+    if not is_plane(P):
+        return False
+    for sub in itertools.combinations(range(1, P.n + 1), 4):
+        Q = restrict(P, sub)
+        if poset_core._relabel(Q, poset_core.induced_order_ranks(Q)) in N_PATTERNS:
+            return False
+    return True
+
+
+def test_wn_predicates_match_the_four_subset_walk():
+    rng = random.Random(22)
+    for n in range(7):
+        for P in enumerate_family("pp", n):
+            order = list(range(n))
+            rng.shuffle(order)
+            Q = poset_core._relabel(P, order)
+            assert is_plane_wn(Q) == definitional_plane_wn(Q), Q
+        for P in enumerate_family("spp", n):
+            assert is_special_wn(P) == definitional_plane_wn(plane_version(P)), P
+    for P in enumerate_family("dp", 3):
+        assert is_plane_wn(P) == definitional_plane_wn(P), P
+    for P in enumerate_family("sp", 4):
+        if not is_special_plane(P):
+            assert not is_special_wn(P), P
+
+
+def test_classify_restricts_and_relabels_nothing(monkeypatch, capsys):
+    def walked(*args):
+        raise AssertionError("classify walked the 4-subsets")
+
+    monkeypatch.setattr(poset_core, "restrict", walked)
+    monkeypatch.setattr(poset_core, "_relabel", walked)
+    proper = set(Family) - {Family.DP}
+    assert classify(SpecialPoset(60)) == proper
+    assert classify(phi(Permutation([2, 4, 1, 3, *range(5, 61)]))) == {Family.PP}
+    assert classify(phi(Permutation(range(1, 61)))) == {Family.PP, Family.PF, Family.WNP}
+    assert cli.run(["classify", "SP(300;)", "--format", "json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["families"]) == {f.value for f in proper}
 
 
 def test_classify_nests_families():
