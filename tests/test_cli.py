@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dposet import morphisms
+from dposet import dupdend, morphisms
 from dposet.algebra import parse_lincomb
 from dposet.cli import run
 from dposet.fqsym import parse_permutation
@@ -260,6 +260,18 @@ def test_upsilon_refuses_the_degree_before_building_theta(cli, monkeypatch):
         ("DP(7; o1:; o2:)", "not a special poset"),
     ):
         assert cli("upsilon", operand) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("suite", ["dendriform-coalgebra", "theta-dupdend"])
+def test_a_suite_refuses_a_top_grade_past_the_cap_before_any_tuple(cli, monkeypatch, suite):
+    def no_tuple(*args):
+        raise AssertionError("a tuple was checked")
+
+    monkeypatch.setenv("DPOSET_MAX_DEGREE", "3")
+    monkeypatch.setattr(dupdend, "theta", no_tuple)
+    monkeypatch.setattr(dupdend, "sp_dendriform_coproducts", no_tuple)
+    argv = ("verify", "--suite", suite, "--max-degree", "4")
+    assert cli(*argv) == (1, "", "error: degree too large\n")
 
 
 def test_upsilon_reads_the_degree_cap_as_an_integer(cli, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the northwest-graft product, the split coproducts, the
 half-products on special plane forests, and the axiom suites."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -401,6 +402,12 @@ PLANTED = {
     ("bidendriform", "swapped-prec"): {"prec-of-prec", "succ-of-succ"},
     ("bidendriform", "lossy-split"): {"prec-of-prec", "prec-of-succ"},
     ("lemma36-adjunction", "prec-leaving-spf"): {"prec-adjunction", "succ-adjunction"},
+    ("theta-dupdend", "swapped-nwarrow"): {"theta-nwarrow"},
+    ("theta-dupdend", "lossy-split"): {"theta-coproduct-prec"},
+    ("dendriform-hopf", "prec-leaving-spf"): {
+        "reduced-coproduct-of-prec",
+        "reduced-coproduct-of-succ",
+    },
 }
 
 
@@ -409,6 +416,35 @@ def test_a_planted_fault_is_reported(monkeypatch, suite, fault):
     monkeypatch.setattr(dupdend, *FAULTS[fault])
     report = check_axioms(suite, max_degree=3)
     assert PLANTED[suite, fault] <= {v["axiom"] for v in report["violations"]}
+
+
+# suite, degree, the maps its run memos front
+MEMOIZED = [
+    ("theta-dupdend", 4, ("theta",)),
+    ("dendriform-coalgebra", 4, ("sp_dendriform_coproducts", "spp_dendriform_coproducts")),
+    ("dendriform-hopf", 5, ("spf_succ",)),
+]
+
+
+@pytest.mark.parametrize("suite, degree, names", MEMOIZED)
+def test_a_run_applies_each_slot_map_once_per_key(monkeypatch, suite, degree, names):
+    # the outputs are the same with or without the memos; only a count of the
+    # calls on bare keys shows them, and their degrees that none is top-grade
+    counts = {}
+    for name in names:
+        calls = counts[name] = Counter()
+
+        def counted(*args, _map=getattr(dupdend, name), _calls=calls):
+            if all(isinstance(a, SpecialPoset) for a in args):
+                _calls[args] += 1
+            return _map(*args)
+
+        monkeypatch.setattr(dupdend, name, counted)
+    assert check_axioms(suite, degree)["violations"] == []
+    for name, calls in counts.items():
+        assert calls, name
+        assert set(calls.values()) == {1}, (name, sum(calls.values()), len(calls))
+        assert max(sum(P.n for P in args) for args in calls) < degree, name
 
 
 def test_a_term_outside_spf_is_reported_by_name(monkeypatch):
