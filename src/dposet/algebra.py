@@ -548,10 +548,9 @@ def _key_coproduct(key):
     and tensors take at most 5.7 KB at degree 5 and 11 KB at degree 6 (the
     antichain's 32 and 64 cuts), 7.5 KB and 15 KB once their sort keys are
     made.  With 1,024 keys an axiom suite at degree 5 cuts each factor about
-    once (``theta-dupdend``: 4,735 cuts of 4,626 distinct keys,
-    ``dendriform-coalgebra``: 4,755 of 4,473, with the suites' run memos);
-    the keys used last hold about 3 MB of their own there, and under 16 MB
-    at any degree through 6.
+    once (``theta-dupdend``: 4,735 cuts of 4,626 keys;
+    ``dendriform-coalgebra``: 4,755 of 4,473); the keys used last hold
+    about 3 MB of their own there, and under 16 MB at any degree through 6.
     """
     if isinstance(key, DoublePoset):
         full = (1 << key.n) - 1

@@ -16,11 +16,9 @@
   vanish) of the forest space, dimension 1 in degree 1 and 0 beyond.
 - ``check_axioms``: exhaustive verification of the axiom systems on basis
   tuples up to a degree bound, reported as exact-equality violation lists.
-  A suite that applies theta, a split, the reduced coproduct or a
-  half-product to cut factors memoizes it for one run (``functools.cache``
-  made over this module's globals when the run starts); a memo holds only
-  keys below the run's top grade, is freed when the run ends, and states its
-  size at degree 6, at most 11 MB.
+  A suite memoizes the maps it applies to cut factors for one run: a memo
+  holds only keys below the run's top grade, is freed when the run ends,
+  and states its size at degree 6 (at most 11 MB).
 
 The four compatibility suites state each right side as slotwise products
 in the tensor square (``_times``) of unit-augmented cut lists, each product
@@ -257,10 +255,9 @@ def _pairs(family, max_degree, left, right):
     one block, so it holds at most one grade's results.  The compatibility
     suites pass unit-augmented cut lists (:func:`_cuts_with_units`,
     :func:`_halves_with_units`), so a key's lists, its unit cuts included,
-    are made once a block; ``theta-dupdend`` passes its run memo of theta.
-    The suites pass this module's globals, or memos made over them when the
-    run starts, as ``left`` and ``right``, so a replacement planted by a test
-    applies.  Only grades ``1..max_degree - 1`` are read.
+    are made once a block.  The suites pass this module's globals, or run
+    memos made over them, as ``left`` and ``right``, so a replacement planted
+    by a test applies.  Only grades ``1..max_degree - 1`` are read.
     """
     grades = _graded(family, max_degree - 1)
     for a in range(1, max_degree):
@@ -342,8 +339,6 @@ def _check_duplicial(max_degree):
 
 
 def _coalgebra_cases(P, delta_pair, split, reduced):
-    """``P``'s own split is ``delta_pair``'s; its cut factors go through the
-    run memos ``split`` and ``reduced``."""
     prec, succ = delta_pair(LinComb.basis(P))
     d_prec = lambda a: split(a)[0]
     d_succ = lambda a: split(a)[1]
