@@ -18,7 +18,8 @@
   tuples up to a degree bound, reported as exact-equality violation lists.
   A suite memoizes the maps it applies to cut factors for one run: a memo
   holds only keys below the run's top grade, is freed when the run ends,
-  and states its size at degree 6 (at most 11 MB).
+  and states its size at degree 6 (at most 11 MB; a run's peak rises by at
+  most 19 MB).
 
 The four compatibility suites state each right side as slotwise products
 in the tensor square (``_times``) of unit-augmented cut lists, each product
