@@ -239,13 +239,6 @@ def _graded(family, max_degree):
     return {n: enumerate_family(family, n) for n in range(1, max_degree + 1)}
 
 
-def _refuse_past_cap(top):
-    """Refuse a suite whose top grade ``top`` is past the enumeration cap
-    before its first tuple, not when :func:`enumerate_family` reaches it."""
-    if top > degree_cap():
-        raise ValueError("degree too large")
-
-
 def _pairs(family, max_degree, left, right):
     """The basis pairs ``(P, Q)`` of total degree at most ``max_degree``, as
     ``(P, Q, left(P), right(Q))``, so each factor's own work is done once.
@@ -351,7 +344,6 @@ def _coalgebra_cases(P, delta_pair, split, reduced):
 
 
 def _check_dendriform_coalgebra(max_degree):
-    _refuse_past_cap(max_degree)
     homes = (
         ("sp", sp_dendriform_coproducts),
         ("spp", spp_dendriform_coproducts),
@@ -486,7 +478,6 @@ def _check_lemma36(max_degree):
 def _check_theta_dupdend(max_degree):
     """The operands of :func:`_pairs` and the cut factors of each ``P`` go
     through one run memo of theta; ``P``'s own image does not."""
-    _refuse_past_cap(max_degree)
     image = cache(theta)  # 4,473 keys, 11 MB at degree 6
     for P, Q, tx, ty in _pairs("sp", max_degree, image, image):
         x, y = LinComb.basis(P), LinComb.basis(Q)
@@ -523,6 +514,10 @@ def check_axioms(suite, max_degree=4):
     max_degree = int(max_degree)
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
+    # the pair and triple suites build the top grade from lower ones, so they
+    # would pass the cap unless it is checked before the first tuple
+    if max_degree > degree_cap():
+        raise ValueError("degree too large")
     def show(value):
         return format_lincomb(value) if isinstance(value, LinComb) else str(value)
 

@@ -262,14 +262,16 @@ def test_upsilon_refuses_the_degree_before_building_theta(cli, monkeypatch):
         assert cli("upsilon", operand) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("suite", ["dendriform-coalgebra", "theta-dupdend"])
+@pytest.mark.parametrize("suite", dupdend.AXIOM_SUITES)
 def test_a_suite_refuses_a_top_grade_past_the_cap_before_any_tuple(cli, monkeypatch, suite):
+    # the pair and triple suites enumerate only grades below the top one
     def no_tuple(*args):
         raise AssertionError("a tuple was checked")
 
     monkeypatch.setenv("DPOSET_MAX_DEGREE", "3")
     monkeypatch.setattr(dupdend, "theta", no_tuple)
     monkeypatch.setattr(dupdend, "sp_dendriform_coproducts", no_tuple)
+    monkeypatch.setattr(dupdend, "enumerate_family", no_tuple)
     argv = ("verify", "--suite", suite, "--max-degree", "4")
     assert cli(*argv) == (1, "", "error: degree too large\n")
 

@@ -142,6 +142,37 @@ def test_order_masks_sort_like_their_pair_lists():
         assert pairs == sorted(pairs)
 
 
+def _closure_masks(n, pairs):
+    """Up masks of the transitive closure of ``pairs``, or None on a cycle."""
+    less = [[False] * n for _ in range(n)]
+    for a, b in pairs:
+        less[a][b] = True
+    for k in range(n):
+        for i in range(n):
+            if less[i][k]:
+                for j in range(n):
+                    less[i][j] |= less[k][j]
+    if any(less[v][v] for v in range(n)):
+        return None
+    return tuple(sum(1 << w for w in range(n) if less[v][w]) for v in range(n))
+
+
+def test_order_masks_are_the_closures_of_every_acyclic_relation():
+    for n in range(5):
+        arcs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        closures, increasing = set(), set()
+        for k in range(len(arcs) + 1):
+            for pairs in itertools.combinations(arcs, k):
+                up = _closure_masks(n, pairs)
+                if up is not None:
+                    closures.add(up)
+                    if all(a < b for a, b in pairs):
+                        increasing.add(up)
+        for heap, want in ((False, closures), (True, increasing)):
+            masks = poset_core._sp_masks(n, heap)
+            assert len(set(masks)) == len(masks) and set(masks) == want, (n, heap)
+
+
 def _reference_pairs(P, order):
     """Every ``(a, b)`` with ``a < b`` in the order, by label tests."""
     labels = range(1, P.n + 1)
@@ -306,8 +337,22 @@ def test_restrict_to_high_labels_costs_no_more_than_the_kept_vertices():
     assert restrict(chain, [1, n]) == DoublePoset(2, [(1, 2)], [(1, 2)])
 
 
+def test_the_cuts_of_a_long_chain_cost_what_they_output(capsys):
+    # n + 1 top segments; a table over all label subsets would need 2^64 slots
+    n = 64
+    chain = SpecialPoset(n, [(a, a + 1) for a in range(1, n)])
+    full = (1 << n) - 1
+    assert poset_core._up_sets(chain) == [full ^ ((1 << k) - 1) for k in range(n, -1, -1)]
+    assert ideals(chain) == [frozenset(range(k, n + 1)) for k in range(n + 1, 0, -1)]
+    literal = chain.literal()
+    assert cli.run(["op", "coproduct", literal]) == 0
+    assert capsys.readouterr().out.count(" (x) ") == n + 1
+    assert cli.run(["op", "delta-prec", literal]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_mask_ideals_match_the_subset_filter():
-    for P in _small_posets():
+    for P in _small_posets() + _large_posets():
         assert ideals(P) == ideals_by_subsets(P), P
 
 
