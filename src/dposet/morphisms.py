@@ -23,6 +23,7 @@ Linear extensions are read from ``algebra._extensions``, the one table that
 the special pairing and the Gram matrix read too.
 """
 
+import heapq
 import itertools
 from math import factorial
 
@@ -207,22 +208,17 @@ def rewrite_step(P):
     n = P.n
     edges = set(P.covers())
 
-    rule1 = sorted((i, j) for (j, i) in edges if i < j)
-    if rule1:
-        i, j = rule1[0]
+    site = min(((i, j) for j, i in edges if i < j), default=None)
+    if site:
+        i, j = site
         base = edges - {(j, i)}
         p1 = SpecialPoset(n, base)
         p2 = SpecialPoset(n, base | {(i, j)})
         return LinComb(((p1, 1), (p2, -1)))
 
-    rule2 = sorted(
-        (i, j, k)
-        for (i, k) in edges
-        for (j, kk) in edges
-        if kk == k and i < j
-    )
-    if rule2:
-        i, j, k = rule2[0]
+    site = min(((i, j, k) for i, k in edges for j, kk in edges if kk == k and i < j), default=None)
+    if site:
+        i, j, k = site
         p3 = SpecialPoset(n, edges - {(j, k)})
         p4 = SpecialPoset(n, (edges - {(j, k)}) | {(i, j)})
         p5 = SpecialPoset(n, (edges - {(i, k), (j, k)}) | {(i, j), (j, k)})
@@ -234,24 +230,28 @@ def rewrite_step(P):
 def upsilon_by_rewriting(x, fuel=100000):
     """Exhaustive rewriting of every basis poset into heap-ordered forests.
 
-    Agrees with :func:`upsilon`; termination is enforced by ``fuel``.
+    Each step rewrites the least pending poset in canonical key order that
+    is not a heap-ordered forest.  Agrees with :func:`upsilon`; termination
+    is enforced by ``fuel``, one unit a step.
     """
-    pending = as_lincomb(x)
-    while True:
-        target = None
-        for P, _ in pending.terms():
-            if not is_special(P):
-                raise ValueError("not a special poset")
-            if not is_heap_forest(P):
-                target = P
-                break
-        if target is None:
-            return pending
+    pending = dict(as_lincomb(x).items())
+    if not all(map(is_special, pending)):
+        raise ValueError("not a special poset")
+    heap = [(P.sort_key(), P) for P in pending if not is_heap_forest(P)]
+    heapq.heapify(heap)
+    while heap:
+        target = heapq.heappop(heap)[1]
+        coeff = pending.pop(target)
+        if not coeff:
+            continue
         if fuel <= 0:
             raise ValueError("rewrite fuel exhausted")
         fuel -= 1
-        coeff = pending.coeff(target)
-        pending = pending - LinComb(((target, coeff),)) + rewrite_step(target) * coeff
+        for P, c in rewrite_step(target).items():
+            if P not in pending and not is_heap_forest(P):
+                heapq.heappush(heap, (P.sort_key(), P))
+            pending[P] = pending.get(P, 0) + coeff * c
+    return LinComb(pending)
 
 
 # -- pairing radical and weak-order intervals ------------------------------------

@@ -26,6 +26,7 @@ import os
 import re
 from enum import Enum
 from functools import lru_cache
+from math import factorial
 
 __all__ = [
     "DP_ENUMERATION_CAP",
@@ -445,15 +446,19 @@ def extension_words(P):
     order.
 
     This is the one enumerator of linear extensions, and
-    ``algebra._extensions`` the one table that keeps them.
+    ``algebra._extensions`` the one table that keeps them.  It refuses a
+    poset with more words than the antichain at the degree cap has.
     """
     n = P.n
     down1 = P.down1
+    budget = factorial(max(max_degree(), 0))
     words = []
     word = []
 
     def extend(alive):
         if not alive:
+            if len(words) == budget:
+                raise ValueError("too many linear extensions")
             words.append(tuple(word))
             return
         v = alive

@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dposet import dupdend, morphisms
+from dposet import algebra, dupdend, morphisms
 from dposet.algebra import parse_lincomb
 from dposet.cli import run
 from dposet.fqsym import parse_permutation
@@ -398,6 +398,23 @@ def test_bruhat_interval_of_a_twelve_chain_walks_no_permutations(cli):
     code, out, err = cli("bruhat-interval", f"SP(12; {chain})")
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv", [("theta", "SP(5;)"), ("bruhat-interval", "SP(5;)"), ("pair", "SP(5;)", "SP(1;)")]
+)
+def test_more_linear_extensions_than_the_cap_allows_are_refused(cli, monkeypatch, argv):
+    # the antichain of 5 has 5! = 120 extension words, past the 3! = 6 of the cap
+    monkeypatch.setenv("DPOSET_MAX_DEGREE", "3")
+    algebra._extensions.cache_clear()
+    assert cli(*argv) == (1, "", "error: too many linear extensions\n")
+
+
+def test_a_negative_cap_allows_one_linear_extension(cli, monkeypatch):
+    monkeypatch.setenv("DPOSET_MAX_DEGREE", "-1")
+    algebra._extensions.cache_clear()
+    assert cli("theta", "SP(2; 1<2)") == (0, "12\n", "")
+    assert cli("theta", "SP(2;)") == (1, "", "error: too many linear extensions\n")
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from dposet.poset_core import (
     iota,
     is_heap_forest,
     is_plane,
+    is_special,
     kappa,
     parse_poset,
     plane_version,
@@ -343,6 +344,86 @@ def test_upsilon_by_rewriting_matches_upsilon():
 def test_upsilon_by_rewriting_fuel_exhaustion():
     with pytest.raises(ValueError, match="rewrite fuel exhausted"):
         upsilon_by_rewriting(lc("SP(2; 2<1)"), fuel=0)
+
+
+def _upsilon_by_rescanning(x, fuel=100000):
+    """The reference rewriting loop: each step sorts the whole state, rewrites
+    its first term that is not a heap-ordered forest and rebuilds the sum."""
+    pending = x
+    while True:
+        target = None
+        for P, _ in pending.terms():
+            if not is_special(P):
+                raise ValueError("not a special poset")
+            if not is_heap_forest(P):
+                target = P
+                break
+        if target is None:
+            return pending
+        if fuel <= 0:
+            raise ValueError("rewrite fuel exhausted")
+        fuel -= 1
+        coeff = pending.coeff(target)
+        pending = pending - LinComb(((target, coeff),)) + morphisms.rewrite_step(target) * coeff
+
+
+def _rewriting_inputs():
+    """Seeded sp 4-6 combinations with integer, rational and Gaussian
+    coefficients, some holding a term next to its own rewriting negated, so
+    that pending terms cancel to zero on the way."""
+    rng = random.Random(1109)
+    scalars = (3, -2, Fraction(1, 3), GaussRat(1, 2), GaussRat(Fraction(-1, 2), -1))
+    for n in (4, 5, 6):
+        for cancel in (False, True):
+            terms = [(P, rng.choice(scalars)) for P in rng.sample(enumerate_family("sp", n), 6)]
+            if cancel:
+                P, c = next((P, c) for P, c in terms if not is_heap_forest(P))
+                terms += [(Q, -c * d) for Q, d in rewrite_step(P).items()]
+            yield LinComb(terms)
+
+
+def _rewritten(monkeypatch, rewrite, x):
+    """``rewrite(x)`` and the posets handed to ``rewrite_step``, in order."""
+    targets = []
+
+    def spy(P):
+        targets.append(P)
+        return rewrite_step(P)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(morphisms, "rewrite_step", spy)
+        return rewrite(x), targets
+
+
+def test_upsilon_by_rewriting_follows_the_rescanning_loop(monkeypatch):
+    for x in _rewriting_inputs():
+        result, targets = _rewritten(monkeypatch, upsilon_by_rewriting, x)
+        assert (result, targets) == _rewritten(monkeypatch, _upsilon_by_rescanning, x)
+        assert result == upsilon(x)
+        steps = len(targets)
+        assert upsilon_by_rewriting(x, fuel=steps) == result
+        for rewrite in (upsilon_by_rewriting, _upsilon_by_rescanning):
+            with pytest.raises(ValueError, match="rewrite fuel exhausted"):
+                rewrite(x, fuel=steps - 1)
+
+
+@pytest.mark.parametrize("x", ["21", "SP(3; 2<1) + PP(2; h: 1<2; r:)"])
+def test_upsilon_by_rewriting_refuses_a_term_that_is_not_special(x):
+    for rewrite in (upsilon_by_rewriting, _upsilon_by_rescanning):
+        with pytest.raises(ValueError, match="not a special poset"):
+            rewrite(lc(x))
+
+
+def test_upsilon_by_rewriting_never_sorts_its_state(monkeypatch):
+    rng = random.Random(5)
+    x = LinComb((P, rng.randint(-9, 9) or 1) for P in rng.sample(enumerate_family("sp", 5), 20))
+    expected = upsilon(x)
+
+    def no_sort(self):
+        raise AssertionError("the state was sorted")
+
+    monkeypatch.setattr(LinComb, "terms", no_sort)
+    assert upsilon_by_rewriting(x) == expected
 
 
 # -- pairing radical --------------------------------------------------------------
