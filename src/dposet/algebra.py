@@ -38,6 +38,7 @@ from .poset_core import (
     SpecialPoset,
     _restrict,
     _up_sets,
+    _within_budget,
     compose,
     enumerate_family,
     extension_words,
@@ -688,7 +689,9 @@ def _extensions(P):
 
     An entry takes at most 10 KB at degree 5 and 68 KB at degree 6 (the
     antichain's ``n!`` words).  All 4,231 special posets of degree 5 fit in
-    the bound and take 3.9 MB together.
+    the bound and take 3.9 MB together.  An entry outlives the cap it was made
+    under, so a reader of a poset that no enumeration bounds checks it again
+    (``poset_core._within_budget``).
     """
     return extension_words(P)
 
@@ -702,12 +705,12 @@ def _image_pairing(x, y):
     extension words."""
     image = {}
     for P, c in x:
-        for word in _extensions(P):
+        for word in _within_budget(_extensions(P)):
             image[word] = image.get(word, 0) + c
     get = image.get
     total = 0
     for Q, d in y:
-        v = sum(get(inverse_word(word), 0) for word in _extensions(Q))
+        v = sum(get(inverse_word(word), 0) for word in _within_budget(_extensions(Q)))
         if v:
             total += d * v
     return total
@@ -790,8 +793,8 @@ def _gram_by_extensions(basis):
         for word in _extensions(P):
             for j in holders.get(inverse_word(word), ()):
                 row[j] += 1
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    return rows
 
 
 # The largest basis whose Gram matrix is built: hop 6 (4,824 elements) fits,
@@ -809,7 +812,7 @@ def _gram_basis(family, n):
 
 
 def _gram_of(basis):
-    """The Gram matrix of a basis as row tuples: by extension words when
+    """The Gram matrix of a basis as row lists: by extension words when
     every element is special, by pictures otherwise."""
     if all(is_special(P) for P in basis):
         return _gram_by_extensions(basis)
@@ -820,19 +823,50 @@ def _gram_of(basis):
             v = _picture_pairing(basis[i], basis[j])
             rows[i][j] = v
             rows[j][i] = v
-    return tuple(tuple(row) for row in rows)
-
-
-@lru_cache(maxsize=None)
-def _gram_cached(family, n):
-    """The Gram matrix of a family at one degree, as row tuples; an entry
-    takes 8 bytes a cell or more: 0.12 MB for pp 5, 186 MB for hop 6."""
-    return _gram_of(_gram_basis(family, n))
+    return rows
 
 
 def gram_matrix(family, n):
-    """Pairing matrix of ``enumerate_family(family, n)`` in canonical order."""
-    return [list(row) for row in _gram_cached(family, n)]
+    """Pairing matrix of ``enumerate_family(family, n)`` in canonical order,
+    built anew on each call: a caller reads one Gram matrix once, and one
+    takes 8 bytes a cell or more (0.12 MB for pp 5, 186 MB for hop 6)."""
+    return _gram_of(_gram_basis(family, n))
+
+
+# -- identity checks --------------------------------------------------------------
+
+
+def _positive_degree(max_degree):
+    """A check's degree bound as an int, refused unless positive."""
+    max_degree = int(max_degree)
+    if max_degree < 1:
+        raise ValueError("max_degree must be positive")
+    return max_degree
+
+
+def _graded(family, max_degree):
+    """The bases of ``family`` in degrees 1 to ``max_degree``, by degree."""
+    return {n: enumerate_family(family, n) for n in range(1, max_degree + 1)}
+
+
+def _collect(cases):
+    """``(count, violations)`` of ``(fields, elements, lhs, rhs)`` cases, each
+    an identity ``lhs == rhs`` on basis ``elements``; the one driver of the
+    axiom suites and the graded-isometry check.  A failing case reports its
+    ``fields``, its elements' literals, ``rhs`` as ``expected`` and ``lhs`` as
+    ``got``: a combination as its literal, any other value by ``str``."""
+
+    def show(value):
+        return format_lincomb(value) if isinstance(value, LinComb) else str(value)
+
+    count = 0
+    violations = []
+    for fields, elements, lhs, rhs in cases:
+        count += 1
+        if lhs != rhs:
+            literals = [e.literal() for e in elements]
+            violations.append({**fields, "elements": literals, "expected": show(rhs), "got": show(lhs)})
+    return count, violations
 
 
 # -- antipode --------------------------------------------------------------------

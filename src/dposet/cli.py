@@ -30,11 +30,11 @@ import os
 import sys
 
 from .algebra import (
-    _gram_cached,
     _join_terms,
     coproduct,
     format_lincomb,
     format_scalar,
+    gram_matrix,
     lc_product,
     pairing,
     parse_lincomb,
@@ -224,23 +224,17 @@ def _matrix_argument(text):
 
 def _violation_lines(command, violations, keys):
     def show(value):
-        if isinstance(value, list):
-            return "[" + " | ".join(str(x) for x in value) + "]"
-        return str(value)
+        return "[" + " | ".join(map(str, value)) + "]" if isinstance(value, list) else str(value)
 
-    lines = []
-    for v in violations:
-        detail = " ".join(f"{k}={show(v[k])}" for k in keys if k in v)
-        lines.append(f"{command}  # {detail}")
-    lines.append("fail")
-    return lines
+    lines = [f"{command}  # " + " ".join(f"{k}={show(v[k])}" for k in keys) for v in violations]
+    return lines + ["fail"]
 
 
 def _violation_csv(violations, keys):
-    rows = [list(keys)]
-    for v in violations:
-        rows.append([json.dumps(v[k]) if isinstance(v.get(k), list) else str(v.get(k, "")) for k in keys])
-    return rows
+    def cell(value):
+        return json.dumps(value) if isinstance(value, list) else str(value)
+
+    return [list(keys), *([cell(v[k]) for k in keys] for v in violations)]
 
 
 def _emit_report(fmt, payload, command, keys):
@@ -377,7 +371,7 @@ def pair_cmd(left, right, fmt):
 @_verb("gram", _FAMILY, _DEGREE)
 def gram_cmd(family, degree, fmt):
     """Pairing matrix of a family basis at one degree."""
-    _emit_matrix(fmt, _gram_cached(family, degree), integral=True)
+    _emit_matrix(fmt, gram_matrix(family, degree), integral=True)
 
 
 @_verb("kernel", _FAMILY, _DEGREE)

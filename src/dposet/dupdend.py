@@ -15,7 +15,9 @@
 - ``prim_tot_basis``: totally primitive elements (both split coproducts
   vanish) of the forest space, dimension 1 in degree 1 and 0 beyond.
 - ``check_axioms``: exhaustive verification of the axiom systems on basis
-  tuples up to a degree bound, reported as exact-equality violation lists.
+  tuples up to a degree bound, reported as exact-equality violation lists by
+  ``algebra._collect``, the collector the graded-isometry check of
+  ``linalg`` reports through too.
   A suite memoizes the maps it applies to cut factors for one run: a memo
   holds only keys below the run's top grade, is freed when the run ends,
   and states its size at degree 6 (at most 11 MB; a run's peak rises by at
@@ -50,13 +52,15 @@ from itertools import chain
 from .algebra import (
     LinComb,
     Tensor,
-    _gram_cached,
+    _collect,
+    _graded,
     _half_coproducts,
+    _positive_degree,
     _span,
     _tensor_terms,
     apply_slot,
     coproduct,
-    format_lincomb,
+    gram_matrix,
     lc_product,
     reduced_coproduct,
     require_augmented,
@@ -233,10 +237,6 @@ AXIOM_SUITES = (
     "lemma36-adjunction",
     "theta-dupdend",
 )
-
-
-def _graded(family, max_degree):
-    return {n: enumerate_family(family, n) for n in range(1, max_degree + 1)}
 
 
 def _pairs(family, max_degree, left, right):
@@ -422,13 +422,13 @@ def _check_bidendriform(max_degree):
 
 
 def _check_lemma36(max_degree):
-    """Both sides are read off the spf Gram rows of :func:`_gram_cached`, as
+    """Both sides are read off the spf Gram rows of :func:`gram_matrix`, as
     :func:`pairing` counts them: <T, R> is an entry, and <P (x) Q, A (x) B>
     the product <P, A> <Q, B> of two.  A term outside spf has no entry, so a
     side it enters takes a message naming it, which is a violation."""
     grades = _graded("spf", max_degree)
     position = {P: i for basis in grades.values() for i, P in enumerate(basis)}
-    gram = {n: _gram_cached("spf", n) for n in grades}
+    gram = {n: gram_matrix("spf", n) for n in grades}
 
     def outside(keys):
         return next((f"outside spf: {S.literal()}" for S in keys if S not in position), None)
@@ -511,30 +511,16 @@ def check_axioms(suite, max_degree=4):
     violations."""
     if suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite id: {suite}")
-    max_degree = int(max_degree)
-    if max_degree < 1:
-        raise ValueError("max_degree must be positive")
+    max_degree = _positive_degree(max_degree)
     # the pair and triple suites build the top grade from lower ones, so they
     # would pass the cap unless it is checked before the first tuple
     if max_degree > degree_cap():
         raise ValueError("degree too large")
-    def show(value):
-        return format_lincomb(value) if isinstance(value, LinComb) else str(value)
-
-    violations = []
-    checked = 0
-    for elements, cases in _SUITE_RUNNERS[suite](max_degree):
-        for axiom, lhs, rhs in cases:
-            checked += 1
-            if lhs != rhs:
-                violations.append(
-                    {
-                        "axiom": axiom,
-                        "elements": [e.literal() for e in elements],
-                        "expected": show(rhs),
-                        "got": show(lhs),
-                    }
-                )
+    checked, violations = _collect(
+        ({"axiom": axiom}, elements, lhs, rhs)
+        for elements, cases in _SUITE_RUNNERS[suite](max_degree)
+        for axiom, lhs, rhs in cases
+    )
     return {
         "suite": suite,
         "degree": max_degree,

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from math import comb
 
 from .algebra import LinComb, Tensor, _half_coproducts, as_lincomb, coproduct, reduced_coproduct
-from .poset_core import inverse_word
+from .poset_core import _word_budget, inverse_word
 
 __all__ = [
     "Permutation",
@@ -133,7 +134,12 @@ def standardize(letters):
 
 
 def _shuffle_words(a, b):
+    """Each interleaving of the words ``a`` and ``b`` as ``(positions of a,
+    word)``, refused before the first when ``poset_core._word_budget``
+    allows fewer than there are."""
     n, m = len(a), len(b)
+    if comb(n + m, n) > _word_budget():
+        raise ValueError("too many shuffles")
     for positions in itertools.combinations(range(n + m), n):
         word = [0] * (n + m)
         taken = set(positions)

@@ -27,7 +27,9 @@ entries; every computation here is exact.  The module provides three layers:
   ``V^-1 == V.T @ A``, and it checks ``S.T @ A @ S == B`` itself), and
   graded linear maps, given by the image of each source basis element
   (:class:`GradedMapSpec`), can be checked for multiplicativity, coproduct
-  compatibility, and pairing preservation (:func:`verify_graded_isometry`).
+  compatibility, and pairing preservation (:func:`verify_graded_isometry`,
+  which reports through ``algebra._collect``, the collector of the axiom
+  suites of ``dupdend``).
 
 :func:`plane_to_special_isometry` records the known isometric Hopf morphism
 from plane posets to special plane posets up to degree 3, as the images of
@@ -48,17 +50,18 @@ from operator import floordiv, truediv
 from .algebra import (
     GaussRat,
     LinComb,
+    _collect,
+    _graded,
+    _positive_degree,
     _span,
     as_lincomb,
-    format_lincomb,
-    format_scalar,
     lc_product,
     normalize_scalar,
     pairing,
     parse_lincomb,
     reduced_coproduct,
 )
-from .poset_core import SpecialPoset, compose, enumerate_family, parse_poset
+from .poset_core import SpecialPoset, compose, parse_poset
 
 __all__ = [
     "CongruenceCertificate",
@@ -684,7 +687,7 @@ def build_isometry(A, B):
     return S
 
 
-class GradedMapSpec:
+class GradedMapSpec(namedtuple("GradedMapSpec", ("source", "target", "images", "degree"))):
     """A graded linear map between poset families, given on basis elements.
 
     ``images`` maps every source basis element of degrees 1 to ``degree`` to
@@ -692,26 +695,7 @@ class GradedMapSpec:
     to the empty poset.  Two specs are equal when all four fields are.
     """
 
-    __hash__ = None
-
-    def __init__(self, source, target, images, degree):
-        self.source = source
-        self.target = target
-        self.images = images
-        self.degree = degree
-
-    def _fields(self):
-        return (self.source, self.target, self.images, self.degree)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return "GradedMapSpec(source={!r}, target={!r}, images={!r}, degree={!r})".format(
-            *self._fields()
-        )
+    __slots__ = ()
 
     def image(self, key):
         """Image of a single source basis element, as a target LinComb."""
@@ -736,49 +720,32 @@ def verify_graded_isometry(spec, max_degree):
     degree at most ``max_degree``, reduced-coproduct compatibility and
     pairing preservation on every degree up to the bound, and returns a
     report dict with the check count and a list of violations (empty when the
-    map is an isometric morphism that far).
+    map is an isometric morphism that far), as ``algebra._collect`` makes it.
     """
-    max_degree = int(max_degree)
-    if max_degree < 1:
-        raise ValueError("max_degree must be positive")
+    max_degree = _positive_degree(max_degree)
     if max_degree > spec.degree:
         raise ValueError(f"missing degree block: {spec.degree + 1}")
-    source = {n: enumerate_family(spec.source, n) for n in range(1, max_degree + 1)}
-    violations = []
-    checks = 0
+    source = _graded(spec.source, max_degree)
+    image = spec.image
 
-    def check(kind, degree, elements, got, expected, show=format_lincomb):
-        nonlocal checks
-        checks += 1
-        if got != expected:
-            violations.append(
-                {
-                    "check": kind,
-                    "degree": degree,
-                    "elements": [e.literal() for e in elements],
-                    "expected": show(expected),
-                    "got": show(got),
-                }
-            )
+    def cases():
+        for a in range(1, max_degree):
+            for b in range(1, max_degree - a + 1):
+                fields = {"check": "product", "degree": [a, b]}
+                for P, Q in itertools.product(source[a], source[b]):
+                    yield fields, (P, Q), image(compose(P, Q)), lc_product(image(P), image(Q))
+        for n in range(1, max_degree + 1):
+            fields = {"check": "coproduct", "degree": n}
+            for P in source[n]:
+                left = reduced_coproduct(image(P))
+                yield fields, (P,), left, _span(reduced_coproduct(LinComb.basis(P)), image, image)
+        for n in range(1, max_degree + 1):
+            fields = {"check": "pairing", "degree": n}
+            for P, Q in itertools.combinations_with_replacement(source[n], 2):
+                left = pairing(image(P), image(Q))
+                yield fields, (P, Q), left, pairing(LinComb.basis(P), LinComb.basis(Q))
 
-    for a in range(1, max_degree):
-        for b in range(1, max_degree - a + 1):
-            for P in source[a]:
-                for Q in source[b]:
-                    left = spec.image(compose(P, Q))
-                    right = lc_product(spec.image(P), spec.image(Q))
-                    check("product", [a, b], (P, Q), left, right)
-    for n in range(1, max_degree + 1):
-        for P in source[n]:
-            left = reduced_coproduct(spec.image(P))
-            right = _span(reduced_coproduct(LinComb.basis(P)), spec.image, spec.image)
-            check("coproduct", n, (P,), left, right)
-    for n in range(1, max_degree + 1):
-        for i, P in enumerate(source[n]):
-            for Q in source[n][i:]:
-                lhs = pairing(spec.image(P), spec.image(Q))
-                rhs = pairing(LinComb.basis(P), LinComb.basis(Q))
-                check("pairing", n, (P, Q), lhs, rhs, format_scalar)
+    checks, violations = _collect(cases())
     return {
         "source": spec.source,
         "target": spec.target,
@@ -840,13 +807,6 @@ _ISOMETRY_DEG3 = {
 }
 
 
-def _conjugate_lincomb(x):
-    return LinComb(
-        (key, coeff.conjugate() if isinstance(coeff, GaussRat) else coeff)
-        for key, coeff in x.terms()
-    )
-
-
 def plane_to_special_isometry(max_degree=3, variant="derived"):
     """The graded isometry candidate from plane to special plane posets.
 
@@ -857,9 +817,7 @@ def plane_to_special_isometry(max_degree=3, variant="derived"):
     """
     if variant not in ISOMETRY_VARIANTS:
         raise ValueError(f"unknown isometry variant: {variant!r}")
-    max_degree = int(max_degree)
-    if max_degree < 1:
-        raise ValueError("max_degree must be positive")
+    max_degree = _positive_degree(max_degree)
     if max_degree > 3:
         raise ValueError("isometry tables stop at degree 3")
     alpha, beta = _ISOMETRY_DEG2[variant]
@@ -877,7 +835,7 @@ def plane_to_special_isometry(max_degree=3, variant="derived"):
         for src_literal, img_literal in table:
             img = parse_lincomb(img_literal)
             if variant == "derived-alt":
-                img = _conjugate_lincomb(img)
+                img = LinComb((key, coeff.conjugate()) for key, coeff in img.terms())
             images[parse_poset(src_literal)] = img
         for left, right in ((point, antichain2), (point, chain2), (chain2, point)):
             images[compose(left, right)] = lc_product(images[left], images[right])

@@ -20,7 +20,8 @@
   tested by adjacent swaps inside the set of extension words.
 
 Linear extensions are read from ``algebra._extensions``, the one table that
-the special pairing and the Gram matrix read too.
+the special pairing and the Gram matrix read too; a reader whose poset no
+enumeration bounds checks the entry against the current degree cap.
 """
 
 import heapq
@@ -34,6 +35,7 @@ from .poset_core import (
     DoublePoset,
     SpecialPoset,
     _special,
+    _within_budget,
     is_heap_forest,
     is_plane,
     is_special,
@@ -64,7 +66,7 @@ def linear_extensions(P):
     higher in the first order, as permutations, in lexicographic order."""
     if not is_special(P):
         raise ValueError("not a special poset")
-    return [Permutation._trusted(word) for word in _extensions(P)]
+    return [Permutation._trusted(word) for word in _within_budget(_extensions(P))]
 
 
 def theta(x):
@@ -76,7 +78,9 @@ def theta(x):
     x = as_lincomb(x)
     if not all(is_special(P) for P, _ in x.items()):
         raise ValueError("not a special poset")
-    return LinComb((Permutation._trusted(w), c) for P, c in x.items() for w in _extensions(P))
+    return LinComb(
+        (Permutation._trusted(w), c) for P, c in x.items() for w in _within_budget(_extensions(P))
+    )
 
 
 # -- the permutation <-> plane poset bijections ----------------------------------
@@ -309,7 +313,7 @@ def bruhat_interval_check(P):
     """
     if not is_special(P):
         raise ValueError("not a special poset")
-    words = set(_extensions(P))
+    words = set(_within_budget(_extensions(P)))
     tops = 0
     for w in words:
         swaps = [(w[i] > w[i + 1], w[:i] + (w[i + 1], w[i]) + w[i + 2 :]) for i in range(len(w) - 1)]

@@ -447,11 +447,11 @@ def extension_words(P):
 
     This is the one enumerator of linear extensions, and
     ``algebra._extensions`` the one table that keeps them.  It refuses a
-    poset with more words than the antichain at the degree cap has.
+    poset with more words than :func:`_word_budget` allows.
     """
     n = P.n
     down1 = P.down1
-    budget = factorial(max(max_degree(), 0))
+    budget = _word_budget()
     words = []
     word = []
 
@@ -740,6 +740,20 @@ def max_degree():
         return int(value)
     except ValueError:
         raise ValueError(f"DPOSET_MAX_DEGREE must be an integer, not {value!r}") from None
+
+
+def _word_budget():
+    """The most words a list of linear extensions or of shuffles may hold:
+    as many as the antichain at the degree cap has (one below a cap of 1)."""
+    return factorial(max(max_degree(), 0))
+
+
+def _within_budget(words):
+    """The linear extensions ``words``, refused when :func:`_word_budget`
+    allows fewer: ``algebra._extensions`` keeps them past a lowered cap."""
+    if len(words) > _word_budget():
+        raise ValueError("too many linear extensions")
+    return words
 
 
 # The membership test of every proper family, read by both ``classify`` and

@@ -410,6 +410,31 @@ def test_more_linear_extensions_than_the_cap_allows_are_refused(cli, monkeypatch
     assert cli(*argv) == (1, "", "error: too many linear extensions\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [("theta", "SP(5;)"), ("bruhat-interval", "SP(5;)"), ("pair", "SP(5;)", "SP(1;)")]
+)
+def test_a_table_entry_made_under_a_higher_cap_is_refused(cli, monkeypatch, argv):
+    # the table keeps the antichain's 120 words from the default cap; a later
+    # run under the cap 3 reads them and must refuse them all the same
+    monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
+    assert cli("theta", "SP(5;)")[0] == 0
+    monkeypatch.setenv("DPOSET_MAX_DEGREE", "3")
+    assert cli(*argv) == (1, "", "error: too many linear extensions\n")
+
+
+def test_a_shuffle_past_the_word_budget_is_refused_before_its_first_word(cli, monkeypatch):
+    # 13 + 13 letters shuffle in C(26, 13) = 10,400,600 ways, past 6! = 720
+    monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
+    word = "[" + ",".join(map(str, range(1, 14))) + "]"
+    start = time.perf_counter()
+    assert cli("op", "product", word, word) == (1, "", "error: too many shuffles\n")
+    assert time.perf_counter() - start < 1
+    # 6 + 5 letters shuffle in C(11, 5) = 462 ways, within the budget
+    code, out, err = cli("op", "product", "123456", "12345")
+    assert (code, err) == (0, "")
+    assert len(out.split(" + ")) == 462
+
+
 def test_a_negative_cap_allows_one_linear_extension(cli, monkeypatch):
     monkeypatch.setenv("DPOSET_MAX_DEGREE", "-1")
     algebra._extensions.cache_clear()

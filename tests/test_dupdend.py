@@ -1,6 +1,7 @@
 """Tests for the northwest-graft product, the split coproducts, the
 half-products on special plane forests, and the axiom suites."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -8,6 +9,7 @@ from itertools import chain
 import pytest
 
 from dposet import dupdend
+from dposet.cli import run
 from dposet.algebra import (
     LinComb,
     _half_coproducts,
@@ -416,6 +418,37 @@ def test_a_planted_fault_is_reported(monkeypatch, suite, fault):
     monkeypatch.setattr(dupdend, *FAULTS[fault])
     report = check_axioms(suite, max_degree=3)
     assert PLANTED[suite, fault] <= {v["axiom"] for v in report["violations"]}
+
+
+# (suite, fault) -> sha256 of `verify --suite SUITE --max-degree 3` in text,
+# json and csv: a violation report shows tensor sides, three-slot sides and
+# the zero combination, and scalar sides with the messages of terms outside spf
+VIOLATION_REPORTS = {
+    ("dupdend-compat", "swapped-nwarrow"): (
+        "f08dd6f309571108b50d9f456c38cfe3a6a213cdb57e8db97eb44b910734b02e",
+        "3a963a22ced27d1f122f9d12219dbe3b1463a961078a098076b2ce59ae81b9b3",
+        "23091d20ba9f151210890b91aa3a4439a196ce43f128b24c345ebcc700a698b4",
+    ),
+    ("dendriform-coalgebra", "lossy-split"): (
+        "4cc7fec7ca5343c5e827959ad1d8f829c454630e94d28d3902af683cfedba18a",
+        "21d87d5a9c1c3b6ff47ec303f9c2c71a46fe418c95736385ba3c02cf2305041b",
+        "7bc7ebc1bea3c908605f5b5055f8d1969f91ac19ca86537e3514d4e715fd418c",
+    ),
+    ("lemma36-adjunction", "prec-leaving-spf"): (
+        "68b0814e1e212cd474df4ddf39a93a4e931d598e96daaeead604e8e7c8998f4a",
+        "0b918eec26f77dceaf341d39aa97ff961788996508a6bcad9b4f03b38352adc5",
+        "944e6a2451ddedacce544205068801dcaa52b8d9de25a1965c297367d28794ec",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite, fault", list(VIOLATION_REPORTS))
+def test_a_planted_fault_prints_the_pinned_report(monkeypatch, capsys, suite, fault):
+    monkeypatch.setattr(dupdend, *FAULTS[fault])
+    for fmt, digest in zip(("text", "json", "csv"), VIOLATION_REPORTS[suite, fault]):
+        assert run(["verify", "--suite", suite, "--max-degree", "3", "--format", fmt]) == 2
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 # suite, degree, the maps its run memos front

@@ -106,7 +106,6 @@ def test_every_name_the_bench_tracer_wraps_exists():
 UNBOUNDED_CACHES = {
     "poset_core._natural_up": "keyed by the degree: one tuple of n masks",
     "poset_core._sp_masks": "keyed by (degree, heap): the special posets of one degree as masks",
-    "algebra._gram_cached": "keyed by (family, degree); _GRAM_MAX_BASIS caps the basis of an entry",
 }
 
 
@@ -146,6 +145,26 @@ def _calls_to(source, name):
                     if called == name:
                         found.append((node.name, call.lineno))
     return found
+
+
+def _dicts_with_key(source, key):
+    """The function of every dict display with the constant key ``key``;
+    a display in a nested function counts for the outer function too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in ast.walk(node):
+                keys = d.keys if isinstance(d, ast.Dict) else ()
+                if any(isinstance(k, ast.Constant) and k.value == key for k in keys):
+                    found.append(node.name)
+    return found
+
+
+def test_violation_entries_are_built_by_one_collector():
+    # the axiom suites and the graded-isometry check feed algebra._collect
+    # their cases; a violation dict built anywhere else is a second driver
+    found = [(path.name, f) for path in SOURCES for f in _dicts_with_key(path.read_text(), "expected")]
+    assert found == [("algebra.py", "_collect")]
 
 
 def test_guard_finds_inverse_calls():

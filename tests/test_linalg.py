@@ -742,6 +742,14 @@ def test_graded_map_spec_image():
         spec.image(parse_poset("SP(2; 2<1)"))
 
 
+def test_graded_map_spec_is_an_immutable_record():
+    images = {SpecialPoset(1): LinComb.basis(SpecialPoset(1))}
+    spec = GradedMapSpec("spp", "spp", images, 1)
+    assert repr(spec) == f"GradedMapSpec(source='spp', target='spp', images={images!r}, degree=1)"
+    with pytest.raises(AttributeError):
+        spec.degree = 2
+
+
 def test_graded_map_spec_holds_the_image_of_each_source_basis_element():
     spec = plane_to_special_isometry(max_degree=3)
     assert spec.degree == 3
