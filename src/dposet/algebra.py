@@ -39,6 +39,7 @@ from .poset_core import (
     _restrict,
     _up_sets,
     _within_budget,
+    _word_budget,
     compose,
     enumerate_family,
     extension_words,
@@ -704,13 +705,14 @@ def _image_pairing(x, y):
     ``d*Q`` of y adds ``d`` times the coefficients of the inverses of Q's
     extension words."""
     image = {}
+    budget = _word_budget()
     for P, c in x:
-        for word in _within_budget(_extensions(P)):
+        for word in _within_budget(_extensions(P), budget):
             image[word] = image.get(word, 0) + c
     get = image.get
     total = 0
     for Q, d in y:
-        v = sum(get(inverse_word(word), 0) for word in _within_budget(_extensions(Q)))
+        v = sum(get(inverse_word(word), 0) for word in _within_budget(_extensions(Q), budget))
         if v:
             total += d * v
     return total

@@ -10,19 +10,18 @@ operands and options, with their choices and defaults.  An option reads
 ``--opt value`` or ``--opt=value`` anywhere among the operands, and the last
 of a repeated option wins.  Before ``--`` an argument that starts with ``-``
 is an option; after it every argument is an operand, so an operand such as
-``-2*SP(1;)`` goes after ``--``.  Only the parser of the verb being run is
-built; the listing of all verbs only for ``--help`` or a bad verb.
+``-2*SP(1;)`` goes after ``--``.  The parser reads the verbs' own argument
+specs, and builds usage and help text only to print them.
 
 Exit codes: 0 on success and after ``--help``, 1 on a domain or usage error,
 2 when a verification command finds violations.  A usage error (an unknown
-verb or option, a bad choice or integer, a missing option or operand, a
-wrong operand count) prints the verb's usage and an ``error:`` line on
-stderr, a domain error the ``error:`` line alone.  Verification failures are
-printed as re-runnable command lines with the offending elements in a
-trailing comment.
+verb or option, a bad choice or integer, a missing option, value or operand,
+an operand too many) prints the verb's usage line and a ``dposet VERB:
+error:`` line on stderr, a domain error the ``error:`` line alone.
+Verification failures are printed as re-runnable command lines with the
+offending elements in a trailing comment.
 """
 
-import argparse
 import csv
 import itertools
 import json
@@ -253,7 +252,7 @@ def _emit_report(fmt, payload, command, keys):
 
 # -- verbs -------------------------------------------------------------------------
 
-# verb name -> (function, its add_argument calls as (names, keywords))
+# verb name -> (function, its arguments as (name, keywords) made by _argument)
 _VERBS = {}
 
 # verb group -> description; "" is ``dposet`` itself
@@ -263,8 +262,9 @@ _GROUPS = {
 }
 
 
-def _argument(*names, **keywords):
-    return names, keywords
+def _argument(name, **keywords):
+    keywords.setdefault("dest", name.lstrip("-").replace("-", "_"))
+    return name, keywords
 
 
 _FORMAT = _argument(
@@ -517,33 +517,11 @@ def verify_cmd(suite, max_degree, fmt):
 # -- parsing -----------------------------------------------------------------------
 
 
-def _parser(prog, **keywords):
-    """An argparse parser whose one built-in option is ``--help``: ``-h``
-    stays an unknown option, as it always was."""
-    parser = argparse.ArgumentParser(prog=prog, add_help=False, **keywords)
-    parser.add_argument("--help", action="help", help="show this message and exit")
-    return parser
-
-
-def _listing(group):
-    """The parser of ``dposet`` (``group`` "") or of a verb group, whose help
-    lists the verbs; built only to print that help or a usage error."""
-    prog = f"dposet {group}".rstrip()
-    verbs = {
-        name[len(group) :].strip(): fn.__doc__.partition("\n")[0]
-        for name, (fn, _) in _VERBS.items()
-        if not group or name.startswith(group + " ")
-    }
-    width = max(map(len, verbs))
-    return _parser(
-        prog,
-        usage=f"{prog} [--help] VERB [ARGS]...",
-        description=_GROUPS[group],
-        epilog="verbs:\n"
-        + "".join(f"  {name:<{width}}  {summary}\n" for name, summary in verbs.items())
-        + f"\n'{prog} VERB --help' lists a verb's operands and options.",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+def _fail(name, message):
+    """End the parse after a usage error in verb or group ``name``, with exit
+    code 1: its usage line and ``dposet NAME: error: MESSAGE`` on stderr."""
+    sys.stderr.write(f"usage: {_layout(name)[0]}\n{f'dposet {name}'.rstrip()}: error: {message}\n")
+    raise SystemExit(1)
 
 
 def _resolve(args):
@@ -551,58 +529,120 @@ def _resolve(args):
     group = ""
     while True:
         if not args:
-            _listing(group).error("missing verb")
+            _fail(group, "missing verb")
         head, args = args[0], args[1:]
         if head == "--help":
-            _listing(group).print_help()
+            sys.stdout.write(_layout(group)[1])
             raise SystemExit(0)
         name = f"{group} {head}".lstrip()
         if name in _VERBS:
             return name, args
         if not head or name not in _GROUPS:
-            kind = "option" if head.startswith("-") else "command"
-            _listing(group).error(f"No such {kind}: {head!r}")
+            _fail(group, f"No such {'option' if head.startswith('-') else 'command'}: {head!r}")
         group = name
+
+
+def _layout(name):
+    """The usage line and the help of verb or verb group ``name`` ("" is
+    ``dposet`` itself), laid out as argparse laid them out; made only for
+    ``--help`` or a usage error.  A group's help lists its verbs."""
+    import textwrap
+
+    prog = f"dposet {name}".rstrip()
+    help_row = ("--help", "show this message and exit")
+    if name in _GROUPS:
+        usage = f"{prog} [--help] VERB [ARGS]..."
+        verbs = {
+            verb[len(name) :].strip(): fn.__doc__.partition("\n")[0]
+            for verb, (fn, _) in _VERBS.items()
+            if not name or verb.startswith(name + " ")
+        }
+        width = max(map(len, verbs))
+        listing = "".join(f"  {verb:<{width}}  {summary}\n" for verb, summary in verbs.items())
+        return usage, (
+            f"usage: {usage}\n\n{_GROUPS[name]}\n\noptions:\n  {help_row[0]}  {help_row[1]}\n\n"
+            f"verbs:\n{listing}\n'{prog} VERB --help' lists a verb's operands and options.\n"
+        )
+    fn, arguments = _VERBS[name]
+    usage, tail = [f"{prog} [--help]"], []
+    sections = {False: [], True: [help_row]}  # operands, options
+    for arg, keywords in arguments:
+        option = arg.startswith("-")
+        choices = keywords.get("choices")
+        metavar = "{" + ",".join(choices) + "}" if choices else keywords["dest"].upper()
+        shown = f"{arg} {metavar}" if option else metavar if choices else arg
+        if option:
+            usage.append(shown if keywords.get("required") else f"[{shown}]")
+        else:
+            tail.append(f"[{shown} ...]" if keywords.get("nargs") else shown)
+        sections[option].append((shown, keywords["help"] % keywords))
+    usage = " ".join(usage + tail)
+    text = f"usage: {usage}\n\n{fn.__doc__}\n"
+    for title, rows in zip(("positional arguments", "options"), sections.values()):
+        text += f"\n{title}:\n" if rows else ""
+        for shown, line in rows:
+            # a row's text from column 24 wrapped at 78, below a wider row
+            text += f"  {shown:<20}  " if len(shown) <= 20 else f"  {shown}\n{' ' * 24}"
+            text += f"\n{' ' * 24}".join(textwrap.wrap(line, 54)) + "\n"
+    return usage, text
 
 
 def _parse(name, args):
     """The keyword arguments of verb ``name`` read from ``args``.
 
-    argparse alone would read ``-1`` as an operand but ``-2*SP(1;)`` as an
-    unknown option, and can drop a second ``--``.  So the options (each takes
-    one value) are read up to the first ``--``, where any other argument that
-    starts with ``-`` is an unknown option, and argparse gets them followed
-    by ``--`` and all the operands.
+    An option is read where it stands: ``--help`` prints the help, and any
+    other takes the text after ``=``, or else the next argument whatever it
+    is, checked against the option's type and choices.  Then the operands
+    fill the verb's operands in order, a ``nargs="*"`` one taking the rest.
     """
-    fn, arguments = _VERBS[name]
-    parser = _parser(f"dposet {name}", description=fn.__doc__)
-    valued = set()
-    # "--" goes before the operands only of a verb that takes some, so that a
-    # stray operand of any other verb is reported as typed
-    separator = []
-    for names, keywords in arguments:
-        parser.add_argument(*names, **keywords)
-        if names[0].startswith("-"):
-            valued.update(names)
-        else:
-            separator = ["--"]
-    options, operands = [], []
+    arguments = _VERBS[name][1]
+    options = {arg: keywords for arg, keywords in arguments if arg.startswith("-")}
+    bound = {kw["dest"]: kw.get("default") for kw in options.values() if not kw.get("required")}
+
+    def bind(arg, keywords, text):
+        if text is None:
+            _fail(name, f"argument {arg}: expected one argument")
+        convert = keywords.get("type", str)
+        try:
+            text = convert(text)
+        except ValueError:
+            _fail(name, f"argument {arg}: invalid {convert.__name__} value: {text!r}")
+        choices = keywords.get("choices", (text,))
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            _fail(name, f"argument {arg}: invalid choice: {text!r} (choose from {listed})")
+        bound[keywords["dest"]] = text
+
+    operands = []
     args = iter(args)
     for arg in args:
-        option, eq, _ = arg.partition("=")
+        option, eq, text = arg.partition("=")
         if arg == "--":
             operands += args
-        elif arg == "--help" or (eq and option in valued):
-            options.append(arg)
-        elif arg in valued:
-            options += [arg, *itertools.islice(args, 1)]
+        elif arg == "--help":
+            sys.stdout.write(_layout(name)[1])
+            raise SystemExit(0)
+        elif option in options:
+            bind(option, options[option], text if eq else next(args, None))
         elif arg.startswith("-") and arg != "-":
-            parser.error(f"No such option: {arg!r}")
+            _fail(name, f"No such option: {arg!r}")
         else:
             operands.append(arg)
     if "--" in operands:
-        parser.error("'--' is not an operand")
-    return vars(parser.parse_args([*options, *separator, *operands]))
+        _fail(name, "'--' is not an operand")
+    missing = [arg for arg, kw in options.items() if kw["dest"] not in bound]
+    for arg, keywords in (argument for argument in arguments if argument[0] not in options):
+        if keywords.get("nargs"):
+            bound[keywords["dest"]], operands = operands, []
+        elif operands:
+            bind(arg, keywords, operands.pop(0))
+        else:
+            missing.append(arg)
+    if missing:
+        _fail(name, "the following arguments are required: " + ", ".join(missing))
+    if operands:
+        _fail(name, "unrecognized arguments: " + " ".join(operands))
+    return bound
 
 
 def run(argv=None):
@@ -610,8 +650,8 @@ def run(argv=None):
     try:
         name, args = _resolve(sys.argv[1:] if argv is None else list(argv))
         keywords = _parse(name, args)
-    except SystemExit as exc:  # argparse's: 0 after --help, 2 after a usage error
-        return 1 if exc.code else 0
+    except SystemExit as exc:  # 0 after --help, 1 after a usage error
+        return exc.code
     try:
         _VERBS[name][0](**keywords)
     except VerificationFailure:

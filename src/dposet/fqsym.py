@@ -133,12 +133,12 @@ def standardize(letters):
     return Permutation._trusted(tuple(rank[v] for v in values))
 
 
-def _shuffle_words(a, b):
+def _shuffle_words(a, b, budget):
     """Each interleaving of the words ``a`` and ``b`` as ``(positions of a,
-    word)``, refused before the first when ``poset_core._word_budget``
-    allows fewer than there are."""
+    word)``, refused before the first when there are more than ``budget``,
+    which a caller takes from ``poset_core._word_budget`` once per call."""
     n, m = len(a), len(b)
-    if comb(n + m, n) > _word_budget():
+    if comb(n + m, n) > budget:
         raise ValueError("too many shuffles")
     for positions in itertools.combinations(range(n + m), n):
         word = [0] * (n + m)
@@ -157,7 +157,7 @@ def shuffle_product(p, q):
     shifted = tuple(v + p.n for v in q.word)
     return LinComb(
         (Permutation._trusted(tuple(word)), 1)
-        for _, word in _shuffle_words(p.word, shifted)
+        for _, word in _shuffle_words(p.word, shifted, _word_budget())
     )
 
 
@@ -216,14 +216,14 @@ def weak_interval_down(q):
     ]
 
 
-def _nwarrow_words(p, q):
+def _nwarrow_words(p, q, budget):
     if not (isinstance(p, Permutation) and isinstance(q, Permutation)):
         raise ValueError("mixed basis kinds")
     if p.n == 0 or q.n == 0:
         raise ValueError("nwarrow needs nonempty operands")
     shifted = tuple(v + p.n for v in q.word)
     top = p.word.index(p.n)
-    for positions, word in _shuffle_words(p.word, shifted):
+    for positions, word in _shuffle_words(p.word, shifted, budget):
         # No letter of q before the maximal letter of p.
         if positions[top] == top:
             yield Permutation._trusted(tuple(word))
@@ -235,11 +235,12 @@ def fq_nwarrow(x, y):
     of p."""
     x = as_lincomb(x)
     y = as_lincomb(y)
+    budget = _word_budget()
     return LinComb(
         (word, a * b)
         for p, a in x.items()
         for q, b in y.items()
-        for word in _nwarrow_words(p, q)
+        for word in _nwarrow_words(p, q, budget)
     )
 
 

@@ -36,6 +36,7 @@ from .poset_core import (
     SpecialPoset,
     _special,
     _within_budget,
+    _word_budget,
     is_heap_forest,
     is_plane,
     is_special,
@@ -66,7 +67,7 @@ def linear_extensions(P):
     higher in the first order, as permutations, in lexicographic order."""
     if not is_special(P):
         raise ValueError("not a special poset")
-    return [Permutation._trusted(word) for word in _within_budget(_extensions(P))]
+    return [Permutation._trusted(word) for word in _within_budget(_extensions(P), _word_budget())]
 
 
 def theta(x):
@@ -78,8 +79,11 @@ def theta(x):
     x = as_lincomb(x)
     if not all(is_special(P) for P, _ in x.items()):
         raise ValueError("not a special poset")
+    budget = _word_budget()
     return LinComb(
-        (Permutation._trusted(w), c) for P, c in x.items() for w in _within_budget(_extensions(P))
+        (Permutation._trusted(w), c)
+        for P, c in x.items()
+        for w in _within_budget(_extensions(P), budget)
     )
 
 
@@ -313,7 +317,7 @@ def bruhat_interval_check(P):
     """
     if not is_special(P):
         raise ValueError("not a special poset")
-    words = set(_within_budget(_extensions(P)))
+    words = set(_within_budget(_extensions(P), _word_budget()))
     tops = 0
     for w in words:
         swaps = [(w[i] > w[i + 1], w[:i] + (w[i + 1], w[i]) + w[i + 2 :]) for i in range(len(w) - 1)]

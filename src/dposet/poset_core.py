@@ -748,10 +748,10 @@ def _word_budget():
     return factorial(max(max_degree(), 0))
 
 
-def _within_budget(words):
-    """The linear extensions ``words``, refused when :func:`_word_budget`
-    allows fewer: ``algebra._extensions`` keeps them past a lowered cap."""
-    if len(words) > _word_budget():
+def _within_budget(words, budget):
+    """``words`` (linear extensions), refused past ``budget``, which a reader
+    takes once per call: ``algebra._extensions`` keeps them past a lowered cap."""
+    if len(words) > budget:
         raise ValueError("too many linear extensions")
     return words
 

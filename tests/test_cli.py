@@ -96,28 +96,78 @@ def test_unknown_verb_is_usage_error(cli):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, prog, message",
     [
-        (("bogus",), "No such command: 'bogus'"),
-        (("isometry", "bogus"), "No such command: 'bogus'"),
-        (("enumerate", "--family", "sp", "--degree", "3", "--bogus", "1"), "No such option: '--bogus'"),
-        (("theta", "-2*SP(1;)"), "No such option: '-2*SP(1;)'"),
-        (("enumerate", "--family", "xx", "--degree", "3"), "argument --family: invalid choice: 'xx'"),
-        (("op", "bogus", "SP(1;)"), "argument name: invalid choice: 'bogus'"),
-        (("enumerate", "--family", "sp", "--degree", "x"), "argument --degree: invalid int value: 'x'"),
-        (("gram", "--family", "sp"), "the following arguments are required: --degree"),
-        (("theta",), "the following arguments are required: operand"),
-        (("op", "product", "SP(1;)"), "op product takes exactly 2 operand(s)"),
-        (("theta", "SP(1;)", "SP(1;)"), "unrecognized arguments: SP(1;)"),
-        (("enumerate", "--family", "sp", "--degree", "3", "extra"), "unrecognized arguments: extra\n"),
-        (("op", "product", "--", "SP(1;)", "--", "SP(1;)"), "'--' is not an operand"),
+        (("bogus",), "dposet", "No such command: 'bogus'"),
+        (("isometry", "bogus"), "dposet isometry", "No such command: 'bogus'"),
+        ((), "dposet", "missing verb"),
+        (("isometry",), "dposet isometry", "missing verb"),
+        (
+            ("enumerate", "--family", "sp", "--degree", "3", "--bogus", "1"),
+            "dposet enumerate",
+            "No such option: '--bogus'",
+        ),
+        (("theta", "-2*SP(1;)"), "dposet theta", "No such option: '-2*SP(1;)'"),
+        (
+            ("enumerate", "--family", "xx", "--degree", "3"),
+            "dposet enumerate",
+            "argument --family: invalid choice: 'xx' (choose from 'dp', 'sp', 'hop', 'of', 'hof',"
+            " 'spp', 'swnp', 'spf', 'pp', 'wnp', 'pf')",
+        ),
+        (
+            ("theta", "SP(1;)", "--format", "xml"),
+            "dposet theta",
+            "argument --format: invalid choice: 'xml' (choose from 'text', 'json', 'csv')",
+        ),
+        (
+            ("op", "bogus", "SP(1;)"),
+            "dposet op",
+            "argument name: invalid choice: 'bogus' (choose from 'product', 'coproduct', 'nwarrow',"
+            " 'prec', 'succ', 'delta-prec', 'delta-succ')",
+        ),
+        (
+            ("enumerate", "--family", "sp", "--degree", "x"),
+            "dposet enumerate",
+            "argument --degree: invalid int value: 'x'",
+        ),
+        (
+            ("enumerate", "--family", "sp", "--degree="),
+            "dposet enumerate",
+            "argument --degree: invalid int value: ''",
+        ),
+        (("theta", "SP(1;)", "--format"), "dposet theta", "argument --format: expected one argument"),
+        (("gram", "--family", "sp"), "dposet gram", "the following arguments are required: --degree"),
+        (("theta",), "dposet theta", "the following arguments are required: operand"),
+        (("theta", "SP(1;)", "SP(1;)"), "dposet theta", "unrecognized arguments: SP(1;)"),
+        (
+            ("enumerate", "--family", "sp", "--degree", "3", "extra"),
+            "dposet enumerate",
+            "unrecognized arguments: extra",
+        ),
+        (("op", "product", "--", "SP(1;)", "--", "SP(1;)"), "dposet op", "'--' is not an operand"),
+        # domain errors, which print the error line alone: a wrong operand
+        # count of op, and --help where it is an operand
+        (("op", "product", "SP(1;)"), None, "op product takes exactly 2 operand(s)"),
+        (("theta", "--", "--help"), None, "bad lincomb term: 'help'"),
     ],
 )
-def test_usage_errors_exit_one_with_an_error_line(cli, argv, message):
+def test_usage_errors_exit_one_with_an_error_line(cli, argv, prog, message):
+    """A usage error prints two lines on stderr: the usage, then the error."""
     code, out, err = cli(*argv)
     assert (code, out) == (1, "")
-    assert "error: " + message in err
-    assert "Traceback" not in err
+    if prog is None:
+        assert err == f"error: {message}\n"
+    else:
+        usage, error = err.splitlines()
+        assert usage.startswith(f"usage: {prog} [--help] ")
+        assert error == f"{prog}: error: {message}"
+
+
+def test_help_after_other_options_prints_the_help(cli):
+    code, out, err = cli("enumerate", "--family", "sp", "--degree", "3", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: dposet enumerate [--help] --family ")
+    assert "\noptions:\n  --help  " in out
 
 
 # every verb and the options it lists besides --format and --help

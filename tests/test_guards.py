@@ -239,23 +239,26 @@ def test_values_are_built_on_one_path():
     assert found == [], "build through DoublePoset._from_masks or Permutation._trusted:\n" + "\n".join(found)
 
 
-def test_importing_the_cli_loads_no_click_dataclasses_inspect_or_typing():
-    """Each of these would cost every verb start-up time.  ``-S`` skips
-    ``site``, whose ``.pth`` hooks may import ``typing`` themselves, and
-    ``-B`` keeps the child from writing bytecode into the source tree."""
-    heavy = ("click", "dataclasses", "inspect", "typing")
+def test_importing_the_cli_and_running_a_verb_loads_no_heavy_module():
+    """Each of these would cost every verb start-up time: argparse alone
+    brings gettext, and its first message lookup locale.  The child also
+    runs one verb, stdout discarded, so a module imported on first use is
+    caught too.  ``-S`` skips ``site``, whose ``.pth`` hooks may import
+    ``typing`` themselves, and ``-B`` keeps the child from writing bytecode
+    into the source tree."""
+    heavy = ("argparse", "click", "dataclasses", "gettext", "inspect", "locale", "typing")
+    child = (
+        "import os, sys, dposet.cli\n"
+        "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        "code = dposet.cli.run(['theta', 'SP(1;)'])\n"
+        "sys.stdout = out\n"
+        "print(code, sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    )
     done = subprocess.run(
-        [
-            sys.executable,
-            "-S",
-            "-B",
-            "-c",
-            "import sys, dposet.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))",
-            *heavy,
-        ],
+        [sys.executable, "-S", "-B", "-c", child, *heavy],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(Path(dposet.__file__).resolve().parents[1])},
         timeout=120,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 []\n", "")

@@ -11,7 +11,14 @@ import pytest
 
 from dposet import morphisms
 from dposet.algebra import GaussRat, LinComb, format_lincomb, gram_matrix, pairing, parse_lincomb
-from dposet.fqsym import Permutation, inversions, parse_permutation, weak_interval_down
+from dposet.fqsym import (
+    Permutation,
+    fq_nwarrow,
+    inversions,
+    parse_permutation,
+    shuffle_product,
+    weak_interval_down,
+)
 from dposet.linalg import mat_inverse, rank_kernel
 from dposet.morphisms import (
     bruhat_interval_check,
@@ -530,3 +537,27 @@ def test_bruhat_interval_check_matches_the_weak_order_route_through_degree_five(
 def test_bruhat_interval_check_rejects_non_special():
     with pytest.raises(ValueError, match="not a special poset"):
         bruhat_interval_check(parse_poset("PP(2; h: 1<2; r:)"))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: theta(parse_lincomb("SP(5;)")), "too many linear extensions"),
+        (lambda: linear_extensions(parse_poset("SP(5;)")), "too many linear extensions"),
+        (lambda: bruhat_interval_check(parse_poset("SP(5;)")), "too many linear extensions"),
+        (
+            lambda: pairing(parse_lincomb("SP(5;)"), parse_lincomb("SP(5;)")),
+            "too many linear extensions",
+        ),
+        (lambda: shuffle_product(Permutation((1, 2)), Permutation((1, 2, 3))), "too many shuffles"),
+        (lambda: fq_nwarrow(Permutation((1, 2)), Permutation((1, 2, 3))), "too many shuffles"),
+    ],
+)
+def test_a_cap_lowered_between_two_calls_is_still_enforced(monkeypatch, call, message):
+    # each call reads the cap once: the antichain of 5 has 5! = 120 words and
+    # a 2 + 3 shuffle C(5, 2) = 10, within 6! = 720 but past 3! = 6
+    monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
+    call()
+    monkeypatch.setenv("DPOSET_MAX_DEGREE", "3")
+    with pytest.raises(ValueError, match=message):
+        call()
