@@ -26,6 +26,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
 
 from .algebra import (
@@ -268,11 +269,7 @@ def _argument(name, **keywords):
 
 
 _FORMAT = _argument(
-    "--format",
-    dest="fmt",
-    choices=("text", "json", "csv"),
-    default="text",
-    help="output format (default: %(default)s)",
+    "--format", dest="fmt", choices=("text", "json", "csv"), default="text", help="output format"
 )
 _FAMILY = _argument("--family", required=True, choices=_FAMILY_CHOICES, help="poset family")
 _DEGREE = _argument("--degree", required=True, type=int, help="degree of the basis")
@@ -329,8 +326,7 @@ def _nwarrow(x, y):
         choices=("greatest", "least"),
         default="greatest",
         help="splitting vertex for delta-prec/delta-succ: the greatest secondary "
-        "label (special-poset convention) or the least (plane convention) "
-        "(default: %(default)s)",
+        "label (special-poset convention) or the least (plane convention)",
     ),
 )
 def op_cmd(name, operands, anchor, fmt):
@@ -350,9 +346,7 @@ def op_cmd(name, operands, anchor, fmt):
     elif name == "succ":
         out = spf_succ(*combs)
     else:
-        split = (
-            sp_dendriform_coproducts if anchor == "greatest" else spp_dendriform_coproducts
-        )
+        split = sp_dendriform_coproducts if anchor == "greatest" else spp_dendriform_coproducts
         out = split(combs[0])[0 if name == "delta-prec" else 1]
     _emit_lincomb(fmt, out)
 
@@ -458,13 +452,8 @@ _ISO_KEYS = ("check", "degree", "elements", "expected", "got")
 
 @_verb(
     "isometry verify",
-    _argument(
-        "--variant",
-        choices=ISOMETRY_VARIANTS,
-        default="derived",
-        help="isometry table (default: %(default)s)",
-    ),
-    _argument("--max-degree", type=int, default=2, help="highest degree checked (default: %(default)s)"),
+    _argument("--variant", choices=ISOMETRY_VARIANTS, default="derived", help="isometry table"),
+    _argument("--max-degree", type=int, default=2, help="highest degree checked"),
 )
 def isometry_verify_cmd(variant, max_degree, fmt):
     """Check the plane-to-special isometry tables degree by degree."""
@@ -477,7 +466,7 @@ def isometry_verify_cmd(variant, max_degree, fmt):
 @_verb(
     "decorations",
     _FAMILY,
-    _argument("--order", type=int, default=5, help="truncation order (default: %(default)s)"),
+    _argument("--order", type=int, default=5, help="truncation order"),
 )
 def decorations_cmd(family, order, fmt):
     """Generator counts of a family modeled as decorated plane forests."""
@@ -504,7 +493,7 @@ _SUITE_KEYS = ("axiom", "elements", "expected", "got")
 @_verb(
     "verify",
     _argument("--suite", required=True, choices=AXIOM_SUITES, help="axiom suite"),
-    _argument("--max-degree", type=int, default=4, help="highest total degree (default: %(default)s)"),
+    _argument("--max-degree", type=int, default=4, help="highest total degree"),
 )
 def verify_cmd(suite, max_degree, fmt):
     """Run one axiom suite exhaustively through a total degree."""
@@ -544,28 +533,16 @@ def _resolve(args):
 
 def _layout(name):
     """The usage line and the help of verb or verb group ``name`` ("" is
-    ``dposet`` itself), laid out as argparse laid them out; made only for
-    ``--help`` or a usage error.  A group's help lists its verbs."""
+    ``dposet`` itself), laid out as argparse laid them out at 80 columns,
+    the usage on one line; made only for ``--help`` or a usage error.  A
+    group's help lists its verbs."""
     import textwrap
 
     prog = f"dposet {name}".rstrip()
-    help_row = ("--help", "show this message and exit")
-    if name in _GROUPS:
-        usage = f"{prog} [--help] VERB [ARGS]..."
-        verbs = {
-            verb[len(name) :].strip(): fn.__doc__.partition("\n")[0]
-            for verb, (fn, _) in _VERBS.items()
-            if not name or verb.startswith(name + " ")
-        }
-        width = max(map(len, verbs))
-        listing = "".join(f"  {verb:<{width}}  {summary}\n" for verb, summary in verbs.items())
-        return usage, (
-            f"usage: {usage}\n\n{_GROUPS[name]}\n\noptions:\n  {help_row[0]}  {help_row[1]}\n\n"
-            f"verbs:\n{listing}\n'{prog} VERB --help' lists a verb's operands and options.\n"
-        )
-    fn, arguments = _VERBS[name]
-    usage, tail = [f"{prog} [--help]"], []
-    sections = {False: [], True: [help_row]}  # operands, options
+    group = name in _GROUPS
+    doc, arguments = (_GROUPS[name], ()) if group else (_VERBS[name][0].__doc__, _VERBS[name][1])
+    usage, tail = [f"{prog} [--help]"], ["VERB [ARGS]..."] if group else []
+    sections = {False: [], True: [("--help", "show this message and exit")]}  # operands, options
     for arg, keywords in arguments:
         option = arg.startswith("-")
         choices = keywords.get("choices")
@@ -575,25 +552,38 @@ def _layout(name):
             usage.append(shown if keywords.get("required") else f"[{shown}]")
         else:
             tail.append(f"[{shown} ...]" if keywords.get("nargs") else shown)
-        sections[option].append((shown, keywords["help"] % keywords))
+        default = f" (default: {keywords['default']})" if "default" in keywords else ""
+        sections[option].append((shown, keywords["help"] + default))
     usage = " ".join(usage + tail)
-    text = f"usage: {usage}\n\n{fn.__doc__}\n"
+    text = f"usage: {usage}\n\n{doc}\n"
+    # a row's text starts past the widest row or at column 24, below a wider row
+    width = min(max(len(shown) for rows in sections.values() for shown, _ in rows), 20)
+    indent = "\n" + " " * (width + 4)
     for title, rows in zip(("positional arguments", "options"), sections.values()):
         text += f"\n{title}:\n" if rows else ""
         for shown, line in rows:
-            # a row's text from column 24 wrapped at 78, below a wider row
-            text += f"  {shown:<20}  " if len(shown) <= 20 else f"  {shown}\n{' ' * 24}"
-            text += f"\n{' ' * 24}".join(textwrap.wrap(line, 54)) + "\n"
+            text += f"  {shown:<{width}}  " if len(shown) <= width else f"  {shown}{indent}"
+            text += indent.join(textwrap.wrap(line, 74 - width)) + "\n"
+    if group:
+        verbs = {
+            verb[len(name) :].strip(): fn.__doc__.partition("\n")[0]
+            for verb, (fn, _) in _VERBS.items()
+            if not name or verb.startswith(name + " ")
+        }
+        width = max(map(len, verbs))
+        text += "\nverbs:\n" + "".join(f"  {v:<{width}}  {line}\n" for v, line in verbs.items())
+        text += f"\n'{prog} VERB --help' lists a verb's operands and options.\n"
     return usage, text
 
 
 def _parse(name, args):
-    """The keyword arguments of verb ``name`` read from ``args``.
+    """The keyword arguments of verb ``name`` read from ``args`` in two passes.
 
-    An option is read where it stands: ``--help`` prints the help, and any
-    other takes the text after ``=``, or else the next argument whatever it
-    is, checked against the option's type and choices.  Then the operands
-    fill the verb's operands in order, a ``nargs="*"`` one taking the rest.
+    The first splits options from operands and refuses an unknown option.  An
+    option takes the text after ``=``, or else the next argument unless that
+    reads as an option (``-``, a negative number or a text with a space does
+    not).  The second acts on the options in order (``--help`` prints the
+    help) and fills the verb's operands in order, a ``nargs="*"`` one the rest.
     """
     arguments = _VERBS[name][1]
     options = {arg: keywords for arg, keywords in arguments if arg.startswith("-")}
@@ -602,42 +592,45 @@ def _parse(name, args):
     def bind(arg, keywords, text):
         if text is None:
             _fail(name, f"argument {arg}: expected one argument")
-        convert = keywords.get("type", str)
         try:
-            text = convert(text)
-        except ValueError:
-            _fail(name, f"argument {arg}: invalid {convert.__name__} value: {text!r}")
-        choices = keywords.get("choices", (text,))
-        if text not in choices:
-            listed = ", ".join(map(repr, choices))
+            text = keywords.get("type", str)(text)
+        except ValueError:  # only an int option's value can be refused here
+            _fail(name, f"argument {arg}: invalid int value: {text!r}")
+        if text not in keywords.get("choices", (text,)):
+            listed = ", ".join(map(repr, keywords["choices"]))
             _fail(name, f"argument {arg}: invalid choice: {text!r} (choose from {listed})")
         bound[keywords["dest"]] = text
 
-    operands = []
+    given, operands = [], []
     args = iter(args)
     for arg in args:
         option, eq, text = arg.partition("=")
         if arg == "--":
             operands += args
-        elif arg == "--help":
-            sys.stdout.write(_layout(name)[1])
-            raise SystemExit(0)
-        elif option in options:
-            bind(option, options[option], text if eq else next(args, None))
+        elif arg == "--help" or option in options:
+            if not (eq or arg == "--help"):
+                text = next(args, None)
+                text = None if text and re.match(r"-(?!\d+$|\d*\.\d+$)[^ ]+$", text) else text
+            given.append((option, text))
         elif arg.startswith("-") and arg != "-":
             _fail(name, f"No such option: {arg!r}")
         else:
             operands.append(arg)
     if "--" in operands:
         _fail(name, "'--' is not an operand")
+    for option, text in given:
+        if option == "--help":
+            sys.stdout.write(_layout(name)[1])
+            raise SystemExit(0)
+        bind(option, options[option], text)
     missing = [arg for arg, kw in options.items() if kw["dest"] not in bound]
     for arg, keywords in (argument for argument in arguments if argument[0] not in options):
-        if keywords.get("nargs"):
-            bound[keywords["dest"]], operands = operands, []
-        elif operands:
-            bind(arg, keywords, operands.pop(0))
-        else:
+        if not operands and not (keywords.get("nargs") and all(m[0] == "-" for m in missing)):
             missing.append(arg)
+        elif keywords.get("nargs"):
+            bound[keywords["dest"]], operands = operands, []
+        else:
+            bind(arg, keywords, operands.pop(0))
     if missing:
         _fail(name, "the following arguments are required: " + ", ".join(missing))
     if operands:

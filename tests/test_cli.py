@@ -145,6 +145,21 @@ def test_unknown_verb_is_usage_error(cli):
             "unrecognized arguments: extra",
         ),
         (("op", "product", "--", "SP(1;)", "--", "SP(1;)"), "dposet op", "'--' is not an operand"),
+        # an option's value that reads as an option is no value, a negative
+        # number is one; a missing first operand makes the "*" one missing
+        # too; an unknown option is refused before --help acts
+        (
+            ("enumerate", "--family", "sp", "--degree", "--family"),
+            "dposet enumerate",
+            "argument --degree: expected one argument",
+        ),
+        (
+            ("theta", "SP(1;)", "--format", "-1"),
+            "dposet theta",
+            "argument --format: invalid choice: '-1' (choose from 'text', 'json', 'csv')",
+        ),
+        (("op",), "dposet op", "the following arguments are required: name, operands"),
+        (("enumerate", "--help", "--bogus"), "dposet enumerate", "No such option: '--bogus'"),
         # domain errors, which print the error line alone: a wrong operand
         # count of op, and --help where it is an operand
         (("op", "product", "SP(1;)"), None, "op product takes exactly 2 operand(s)"),
@@ -168,6 +183,38 @@ def test_help_after_other_options_prints_the_help(cli):
     assert (code, err) == (0, "")
     assert out.startswith("usage: dposet enumerate [--help] --family ")
     assert "\noptions:\n  --help  " in out
+
+
+# sha256 (first 16 hex digits) of each help below its usage line, recorded
+# from the argparse front end, which wrapped long usage lines
+HELP_BODIES = {
+    "": "c199a2061a7efe28",
+    "isometry": "0eb74aba5b7b2d9d",
+    "enumerate": "dbfc24fb9ef5b15b",
+    "classify": "1732a8a47ae35fb2",
+    "op": "cc6cf73fd0bc5398",
+    "pair": "4c804f66cbab6858",
+    "gram": "4690989712dac899",
+    "kernel": "2641b2849fe554a5",
+    "theta": "a32eb2985694af6a",
+    "upsilon": "a2740e6cf38b5ba9",
+    "phi": "eb4f5e6908d7be96",
+    "psi": "4a06eab0b2ff3b8e",
+    "bruhat-interval": "8a93b9cfb89a0880",
+    "diagonalize": "19ff9f479baea504",
+    "isometry build": "b3bdce9e0748ec2a",
+    "isometry verify": "6dc829135644bcdd",
+    "decorations": "22492702f9d53dd8",
+    "verify": "fd88573266a1cdec",
+}
+
+
+@pytest.mark.parametrize("name", HELP_BODIES)
+def test_help_below_the_usage_line_is_pinned(cli, name):
+    code, out, err = cli(*name.split(), "--help")
+    usage, body = out.split("\n\n", 1)
+    assert (code, err, usage.count("\n")) == (0, "", 0)
+    assert hashlib.sha256(body.encode()).hexdigest()[:16] == HELP_BODIES[name]
 
 
 # every verb and the options it lists besides --format and --help
