@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import le
 
 from .poset_core import (
@@ -849,6 +849,34 @@ def _positive_degree(max_degree):
 def _graded(family, max_degree):
     """The bases of ``family`` in degrees 1 to ``max_degree``, by degree."""
     return {n: enumerate_family(family, n) for n in range(1, max_degree + 1)}
+
+
+def _pairs(grades, max_degree, left, right):
+    """The basis pairs ``(P, Q)`` of ``grades`` of total degree at most
+    ``max_degree``, as ``(P, Q, left(P), right(Q))``, in one block per degree
+    pair ``(a, b)``: ``P`` runs over grade ``a`` outside, ``Q`` over grade
+    ``b`` inside.  ``left(P)`` is computed once per block; ``right`` goes
+    through a cache that lives for one block, so it holds at most one grade's
+    results.  Only grades ``1..max_degree - 1`` are read."""
+    for a in range(1, max_degree):
+        for b in range(1, max_degree - a + 1):
+            right_of = cache(right)
+            for P in grades[a]:
+                left_of_P = left(P)
+                for Q in grades[b]:
+                    yield P, Q, left_of_P, right_of(Q)
+
+
+def _triples(grades, max_degree):
+    """The basis triples of total degree at most ``max_degree`` from
+    ``grades``; only grades ``1..max_degree - 2`` are read."""
+    for a in range(1, max_degree - 1):
+        for b in range(1, max_degree - a):
+            for c in range(1, max_degree - a - b + 1):
+                for P in grades[a]:
+                    for Q in grades[b]:
+                        for R in grades[c]:
+                            yield P, Q, R
 
 
 def _collect(cases):

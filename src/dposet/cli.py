@@ -65,7 +65,7 @@ from .morphisms import (
     upsilon as upsilon_map,
 )
 from .poset_core import Family, classify, enumerate_family, format_poset, parse_poset
-from .series import decoration_counts, poincare_series
+from .series import _decoration_series, poincare_series
 
 __all__ = ["main", "run"]
 
@@ -470,8 +470,8 @@ def isometry_verify_cmd(variant, max_degree, fmt):
 )
 def decorations_cmd(family, order, fmt):
     """Generator counts of a family modeled as decorated plane forests."""
-    counts = decoration_counts(family, order)
     poincare = poincare_series(family, order)
+    counts = _decoration_series(poincare)
     decorations = [format_scalar(c) for c in counts.coefficients]
     _emit(
         fmt,

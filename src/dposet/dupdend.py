@@ -15,9 +15,10 @@
 - ``prim_tot_basis``: totally primitive elements (both split coproducts
   vanish) of the forest space, dimension 1 in degree 1 and 0 beyond.
 - ``check_axioms``: exhaustive verification of the axiom systems on basis
-  tuples up to a degree bound, reported as exact-equality violation lists by
-  ``algebra._collect``, the collector the graded-isometry check of
-  ``linalg`` reports through too.
+  tuples up to a degree bound, read from one enumeration per family
+  (``algebra._graded``, ``_pairs``, ``_triples``) and reported as
+  exact-equality violation lists by ``algebra._collect``; the graded-isometry
+  check of ``linalg`` reads its pairs and reports through the same helpers.
   A suite memoizes the maps it applies to cut factors for one run: a memo
   holds only keys below the run's top grade, is freed when the run ends,
   and states its size at degree 6 (at most 11 MB; a run's peak rises by at
@@ -53,14 +54,16 @@ from .algebra import (
     LinComb,
     Tensor,
     _collect,
+    _gram_of,
     _graded,
     _half_coproducts,
+    _pairs,
     _positive_degree,
     _span,
     _tensor_terms,
+    _triples,
     apply_slot,
     coproduct,
-    gram_matrix,
     lc_product,
     reduced_coproduct,
     require_augmented,
@@ -227,55 +230,6 @@ def prim_tot_basis(n):
 
 # -- axiom suites -----------------------------------------------------------------
 
-AXIOM_SUITES = (
-    "duplicial",
-    "dendriform-coalgebra",
-    "dupdend-compat",
-    "codendriform",
-    "dendriform-hopf",
-    "bidendriform",
-    "lemma36-adjunction",
-    "theta-dupdend",
-)
-
-
-def _pairs(family, max_degree, left, right):
-    """The basis pairs ``(P, Q)`` of total degree at most ``max_degree``, as
-    ``(P, Q, left(P), right(Q))``, so each factor's own work is done once.
-
-    The pairs come in one block per degree pair ``(a, b)``: ``P`` runs over
-    grade ``a`` outside, ``Q`` over grade ``b`` inside.  ``left(P)`` is
-    computed once per block; ``right`` goes through a cache that lives for
-    one block, so it holds at most one grade's results.  The compatibility
-    suites pass unit-augmented cut lists (:func:`_cuts_with_units`,
-    :func:`_halves_with_units`), so a key's lists, its unit cuts included,
-    are made once a block.  The suites pass this module's globals, or run
-    memos made over them, as ``left`` and ``right``, so a replacement planted
-    by a test applies.  Only grades ``1..max_degree - 1`` are read.
-    """
-    grades = _graded(family, max_degree - 1)
-    for a in range(1, max_degree):
-        for b in range(1, max_degree - a + 1):
-            right_of = cache(right)
-            for P in grades[a]:
-                left_of_P = left(P)
-                for Q in grades[b]:
-                    yield P, Q, left_of_P, right_of(Q)
-
-
-def _triples(family, max_degree):
-    """The basis triples of total degree at most ``max_degree``; only grades
-    ``1..max_degree - 2`` are read."""
-    grades = _graded(family, max_degree - 2)
-    for a in range(1, max_degree - 1):
-        for b in range(1, max_degree - a):
-            for c in range(1, max_degree - a - b + 1):
-                for P in grades[a]:
-                    for Q in grades[b]:
-                        for R in grades[c]:
-                            yield P, Q, R
-
-
 _E = empty_poset()
 
 
@@ -312,18 +266,15 @@ def _halves_with_units(P, split):
     return LinComb.sum((prec, (Tensor(P, _E), 1))), LinComb.sum((succ, (Tensor(_E, P), 1))), succ
 
 
-def _cuts_and_halves(P, split):
-    """``(dx, px, sx, sx0)``: ``Delta(P)`` and :func:`_halves_with_units`."""
-    return coproduct(P), *_halves_with_units(P, split)
-
-
 # Each ``_check_*`` suite yields ``(elements, cases)`` per basis tuple, every
 # case an ``(axiom, lhs, rhs)`` whose sides must be equal.  A right side made
-# of several term streams is accumulated in one build.
+# of several term streams is accumulated in one build.  A suite calls
+# ``_graded`` once per family, for the grades it reads, and passes ``_pairs``
+# this module's globals, or run memos over them, so a planted fault applies.
 
 
 def _check_duplicial(max_degree):
-    for P, Q, R in _triples("sp", max_degree):
+    for P, Q, R in _triples(_graded("sp", max_degree - 2), max_degree):
         x, y, z = LinComb.basis(P), LinComb.basis(Q), LinComb.basis(R)
         yield (P, Q, R), (
             ("associativity", (x * y) * z, x * (y * z)),
@@ -351,16 +302,15 @@ def _check_dendriform_coalgebra(max_degree):
     reduced = cache(reduced_coproduct)  # 4,473 keys, 8.3 MB at degree 6
     for family, delta_pair in homes:
         split = cache(delta_pair)  # sp 9.4 MB, spp 0.3 MB at degree 6
-        for n in range(1, max_degree + 1):
-            for P in enumerate_family(family, n):
-                cases = _coalgebra_cases(P, delta_pair, split, reduced)
-                yield (P,), ((f"{family}:{name}", lhs, rhs) for name, lhs, rhs in cases)
+        for P in chain.from_iterable(_graded(family, max_degree).values()):
+            cases = _coalgebra_cases(P, delta_pair, split, reduced)
+            yield (P,), ((f"{family}:{name}", lhs, rhs) for name, lhs, rhs in cases)
 
 
 def _check_dupdend_compat(max_degree):
-    split = sp_dendriform_coproducts
-    left, right = partial(_cuts_and_halves, split=split), partial(_halves_with_units, split=split)
-    for P, Q, (dx, px, sx, _), (py, sy, _) in _pairs("sp", max_degree, left, right):
+    right = partial(_halves_with_units, split=sp_dendriform_coproducts)
+    left = lambda P: (coproduct(P), *right(P))  # (dx, px, sx, sx0)
+    for P, Q, (dx, px, sx, _), (py, sy, _) in _pairs(_graded("sp", max_degree - 1), max_degree, left, right):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         product_prec, product_succ = sp_dendriform_coproducts(x * y)
         nwarrow_prec, nwarrow_succ = sp_dendriform_coproducts(sp_nwarrow(x, y))
@@ -379,7 +329,7 @@ def _check_dupdend_compat(max_degree):
 
 def _check_codendriform(max_degree):
     lists = partial(_halves_with_units, split=spp_dendriform_coproducts)
-    for P, Q, (px, sx, _), dy in _pairs("spp", max_degree, lists, coproduct):
+    for P, Q, (px, sx, _), dy in _pairs(_graded("spp", max_degree - 1), max_degree, lists, coproduct):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         product_prec, product_succ = spp_dendriform_coproducts(x * y)
         yield (P, Q), (
@@ -390,7 +340,9 @@ def _check_codendriform(max_degree):
 
 def _check_dendriform_hopf(max_degree):
     prec, succ = cache(spf_prec), cache(spf_succ)  # 67 pairs each, 0.05 MB at degree 6
-    for P, Q, (dx, lx), (dy, ly) in _pairs("spf", max_degree, _cuts_with_units, _cuts_with_units):
+    for P, Q, (dx, lx), (dy, ly) in _pairs(
+        _graded("spf", max_degree - 1), max_degree, _cuts_with_units, _cuts_with_units
+    ):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         yield (P, Q), (
             (
@@ -409,7 +361,9 @@ def _check_dendriform_hopf(max_degree):
 def _check_bidendriform(max_degree):
     prec, succ = cache(spf_prec), cache(spf_succ)  # 67 pairs each, 0.05 MB at degree 6
     lists = partial(_halves_with_units, split=spp_dendriform_coproducts)
-    for P, Q, (px, sx, sx0), (dy, ly) in _pairs("spf", max_degree, lists, _cuts_with_units):
+    for P, Q, (px, sx, sx0), (dy, ly) in _pairs(
+        _graded("spf", max_degree - 1), max_degree, lists, _cuts_with_units
+    ):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         lhs_pp, lhs_sp = spp_dendriform_coproducts(spf_prec(x, y))
         lhs_ps, lhs_ss = spp_dendriform_coproducts(spf_succ(x, y))
@@ -422,13 +376,13 @@ def _check_bidendriform(max_degree):
 
 
 def _check_lemma36(max_degree):
-    """Both sides are read off the spf Gram rows of :func:`gram_matrix`, as
+    """Both sides are read off the spf Gram rows (``_gram_of``), as
     :func:`pairing` counts them: <T, R> is an entry, and <P (x) Q, A (x) B>
     the product <P, A> <Q, B> of two.  A term outside spf has no entry, so a
     side it enters takes a message naming it, which is a violation."""
     grades = _graded("spf", max_degree)
     position = {P: i for basis in grades.values() for i, P in enumerate(basis)}
-    gram = {n: gram_matrix("spf", n) for n in grades}
+    gram = {n: _gram_of(basis) for n, basis in grades.items()}
 
     def outside(keys):
         return next((f"outside spf: {S.literal()}" for S in keys if S not in position), None)
@@ -464,7 +418,7 @@ def _check_lemma36(max_degree):
     halves = {
         R: tuple(map(entries, spp_dendriform_coproducts(R))) for n in grades if n > 1 for R in grades[n]
     }
-    for P, Q, x, y in _pairs("spf", max_degree, LinComb.basis, LinComb.basis):
+    for P, Q, x, y in _pairs(grades, max_degree, LinComb.basis, LinComb.basis):
         n = P.n + Q.n
         prec, succ = row(spf_prec(x, y), n), row(spf_succ(x, y), n)
         for j, R in enumerate(grades[n]):
@@ -479,18 +433,18 @@ def _check_theta_dupdend(max_degree):
     """The operands of :func:`_pairs` and the cut factors of each ``P`` go
     through one run memo of theta; ``P``'s own image does not."""
     image = cache(theta)  # 4,473 keys, 11 MB at degree 6
-    for P, Q, tx, ty in _pairs("sp", max_degree, image, image):
+    grades = _graded("sp", max_degree)
+    for P, Q, tx, ty in _pairs(grades, max_degree, image, image):
         x, y = LinComb.basis(P), LinComb.basis(Q)
         yield (P, Q), (("theta-nwarrow", theta(sp_nwarrow(x, y)), fq_nwarrow(tx, ty)),)
-    for n in range(1, max_degree + 1):
-        for P in enumerate_family("sp", n):
-            x = LinComb.basis(P)
-            prec, succ = sp_dendriform_coproducts(x)
-            fq_prec, fq_succ = fq_dendriform_coproducts(theta(x))
-            yield (P,), (
-                ("theta-coproduct-prec", _span(prec, image, image), fq_prec),
-                ("theta-coproduct-succ", _span(succ, image, image), fq_succ),
-            )
+    for P in chain.from_iterable(grades.values()):
+        x = LinComb.basis(P)
+        prec, succ = sp_dendriform_coproducts(x)
+        fq_prec, fq_succ = fq_dendriform_coproducts(theta(x))
+        yield (P,), (
+            ("theta-coproduct-prec", _span(prec, image, image), fq_prec),
+            ("theta-coproduct-succ", _span(succ, image, image), fq_succ),
+        )
 
 
 _SUITE_RUNNERS = {
@@ -503,6 +457,8 @@ _SUITE_RUNNERS = {
     "lemma36-adjunction": _check_lemma36,
     "theta-dupdend": _check_theta_dupdend,
 }
+
+AXIOM_SUITES = tuple(_SUITE_RUNNERS)
 
 
 def check_axioms(suite, max_degree=4):

@@ -28,8 +28,9 @@ entries; every computation here is exact.  The module provides three layers:
   graded linear maps, given by the image of each source basis element
   (:class:`GradedMapSpec`), can be checked for multiplicativity, coproduct
   compatibility, and pairing preservation (:func:`verify_graded_isometry`,
-  which reports through ``algebra._collect``, the collector of the axiom
-  suites of ``dupdend``).
+  which enumerates the source once by ``algebra._graded``, reads its product
+  pairs from ``algebra._pairs`` and reports through ``algebra._collect``: the
+  tuple source and the collector of the axiom suites of ``dupdend``).
 
 :func:`plane_to_special_isometry` records the known isometric Hopf morphism
 from plane posets to special plane posets up to degree 3, as the images of
@@ -52,9 +53,11 @@ from .algebra import (
     LinComb,
     _collect,
     _graded,
+    _pairs,
     _positive_degree,
     _span,
     as_lincomb,
+    key_degree,
     lc_product,
     normalize_scalar,
     pairing,
@@ -729,11 +732,9 @@ def verify_graded_isometry(spec, max_degree):
     image = spec.image
 
     def cases():
-        for a in range(1, max_degree):
-            for b in range(1, max_degree - a + 1):
-                fields = {"check": "product", "degree": [a, b]}
-                for P, Q in itertools.product(source[a], source[b]):
-                    yield fields, (P, Q), image(compose(P, Q)), lc_product(image(P), image(Q))
+        for P, Q, a, b in _pairs(source, max_degree, key_degree, key_degree):
+            fields = {"check": "product", "degree": [a, b]}
+            yield fields, (P, Q), image(compose(P, Q)), lc_product(image(P), image(Q))
         for n in range(1, max_degree + 1):
             fields = {"check": "coproduct", "degree": n}
             for P in source[n]:

@@ -447,33 +447,36 @@ def extension_words(P):
 
     This is the one enumerator of linear extensions, and
     ``algebra._extensions`` the one table that keeps them.  It refuses a
-    poset with more words than :func:`_word_budget` allows.
+    poset with more words than :func:`_word_budget` allows.  It walks on a
+    stack of its own, not Python's, so any number of labels fits.
     """
-    n = P.n
     down1 = P.down1
     budget = _word_budget()
-    words = []
-    word = []
-
-    def extend(alive):
-        if not alive:
-            if len(words) == budget:
-                raise ValueError("too many linear extensions")
-            words.append(tuple(word))
-            return
-        v = alive
-        while v:
-            low = v & -v
-            v &= v - 1
+    alive = (1 << P.n) - 1  # the labels not yet in the word
+    if not alive:
+        return ((),)
+    words, word, stack = [], [], []  # stack: the labels left to try at each earlier position
+    left = alive  # the labels left to try at the word's next position
+    while True:
+        while left:
+            low = left & -left
+            left ^= low
             idx = low.bit_length() - 1
             if down1[idx] & alive:
                 continue
+            if alive == low:
+                if len(words) == budget:
+                    raise ValueError("too many linear extensions")
+                words.append((*word, idx + 1))
+                continue
             word.append(idx + 1)
-            extend(alive & ~low)
-            word.pop()
-
-    extend((1 << n) - 1)
-    return tuple(words)
+            alive ^= low
+            stack.append(left)
+            left = alive
+        if not stack:
+            return tuple(words)
+        left = stack.pop()
+        alive |= 1 << (word.pop() - 1)
 
 
 def inverse_word(word):

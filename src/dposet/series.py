@@ -121,10 +121,6 @@ class RatSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def one(order):
-    return RatSeries.from_coefficients([1], order)
-
-
 def poincare_series(family, order):
     """Series whose degree-``n`` coefficient counts the family in degree n."""
     order = int(order)
@@ -139,8 +135,13 @@ def decoration_counts(family, order):
     """Generator counts of the family modeled as decorated plane forests:
     the series ``D = (F - 1)/F**2`` for ``F`` the Poincare series.  The
     coefficients must come out as nonnegative integers."""
-    F = poincare_series(family, order)
-    D = (F - one(order)) * (F * F).inverse()
+    return _decoration_series(poincare_series(family, order))
+
+
+def _decoration_series(F):
+    """The decoration series ``D = (F - 1)/F**2`` of a Poincare series
+    ``F``, refused unless its coefficients are nonnegative integers."""
+    D = (F - RatSeries.from_coefficients([1], F.order)) * (F * F).inverse()
     for c in D.coefficients:
         if c.denominator != 1 or c < 0:
             raise ValueError("family not free-over-forests at this order")

@@ -10,15 +10,19 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from dposet import algebra, dupdend, morphisms
+from dposet import algebra, dupdend, morphisms, poset_core
 from dposet.algebra import parse_lincomb
 from dposet.cli import run
+from dposet.dupdend import check_axioms
 from dposet.fqsym import parse_permutation
+from dposet.linalg import plane_to_special_isometry, verify_graded_isometry
 from dposet.poset_core import parse_poset
 
 
@@ -361,7 +365,8 @@ def test_upsilon_refuses_the_degree_before_building_theta(cli, monkeypatch):
 
 @pytest.mark.parametrize("suite", dupdend.AXIOM_SUITES)
 def test_a_suite_refuses_a_top_grade_past_the_cap_before_any_tuple(cli, monkeypatch, suite):
-    # the pair and triple suites enumerate only grades below the top one
+    # the pair and triple suites enumerate only grades below the top one;
+    # every suite enumerates through algebra._graded
     def no_tuple(*args):
         raise AssertionError("a tuple was checked")
 
@@ -369,6 +374,7 @@ def test_a_suite_refuses_a_top_grade_past_the_cap_before_any_tuple(cli, monkeypa
     monkeypatch.setattr(dupdend, "theta", no_tuple)
     monkeypatch.setattr(dupdend, "sp_dendriform_coproducts", no_tuple)
     monkeypatch.setattr(dupdend, "enumerate_family", no_tuple)
+    monkeypatch.setattr(algebra, "enumerate_family", no_tuple)
     argv = ("verify", "--suite", suite, "--max-degree", "4")
     assert cli(*argv) == (1, "", "error: degree too large\n")
 
@@ -495,6 +501,23 @@ def test_bruhat_interval_of_a_twelve_chain_walks_no_permutations(cli):
     code, out, err = cli("bruhat-interval", f"SP(12; {chain})")
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (0, "true\n", "")
+
+
+# 1,200 labels, past the 1,000 frames of Python's default recursion limit
+LONG_CHAIN = "SP(1200; " + ", ".join(f"{a}<{a + 1}" for a in range(1, 1200)) + ")"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("theta", LONG_CHAIN), "[" + ",".join(map(str, range(1, 1201))) + "]\n"),
+        (("bruhat-interval", LONG_CHAIN), "true\n"),
+        (("pair", LONG_CHAIN, LONG_CHAIN), "1\n"),
+    ],
+    ids=["theta", "bruhat-interval", "pair"],
+)
+def test_a_chain_longer_than_the_recursion_limit_has_its_one_extension(cli, argv, out):
+    assert cli(*argv) == (0, out, "")
 
 
 @pytest.mark.parametrize(
@@ -658,6 +681,44 @@ def test_invocations_keep_their_recorded_exit_codes_and_outputs(cli, monkeypatch
         assert "error:" in err and "Traceback" not in err
     else:
         assert err == ""
+
+
+def _enumeration_requests(monkeypatch):
+    """A counter of ``enumerate_family`` requests by (family, degree), spied
+    on in every module that binds the function, as the bench tracer wraps it;
+    a plane family's request of its special family counts too."""
+    requests = Counter()
+    enumerate_family = poset_core.enumerate_family
+
+    def spy(family, n):
+        requests[poset_core.Family(family).value, n] += 1
+        return enumerate_family(family, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dposet" and getattr(module, "enumerate_family", None) is enumerate_family:
+            monkeypatch.setattr(module, "enumerate_family", spy)
+    return requests
+
+
+ONE_ENUMERATION_RUNS = [
+    *(
+        pytest.param(partial(run, c["argv"]), id=" ".join(c["argv"])[:60] or "no arguments")
+        for c in GOLDEN["outputs"] + GOLDEN["invocations"]
+    ),
+    *(pytest.param(partial(check_axioms, suite, 4), id=f"{suite} 4") for suite in dupdend.AXIOM_SUITES),
+    pytest.param(lambda: verify_graded_isometry(plane_to_special_isometry(3), 3), id="isometry 3"),
+]
+
+
+@pytest.mark.parametrize("runner", ONE_ENUMERATION_RUNS)
+def test_a_run_enumerates_each_family_and_degree_once(monkeypatch, capsys, runner):
+    # a check reads every tuple from one _graded call per family, and the
+    # decorations verb its two series from one Poincare series
+    monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
+    requests = _enumeration_requests(monkeypatch)
+    runner()
+    capsys.readouterr()
+    assert {key: count for key, count in requests.items() if count > 1} == {}
 
 
 def test_recorded_digests_cover_every_format_of_the_listed_verbs():

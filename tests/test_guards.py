@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import dposet
-from dposet import algebra, morphisms
+from dposet import algebra, dupdend, morphisms
 
 SOURCES = sorted(Path(dposet.__file__).parent.glob("*.py"))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -145,6 +145,27 @@ def _calls_to(source, name):
                     if called == name:
                         found.append((node.name, call.lineno))
     return found
+
+
+def test_checks_enumerate_only_through_graded():
+    # the axiom suites and the graded-isometry check call algebra._graded once
+    # per family and read every tuple from it, by _pairs and _triples
+    checks = [
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.startswith("_check_") or node.name == "verify_graded_isometry")
+    ]
+    runners = {runner.__name__ for runner in dupdend._SUITE_RUNNERS.values()}
+    assert runners | {"verify_graded_isometry"} <= {name for _, name in checks}
+    found = [
+        f"{path.name}:{line} in {function}"
+        for path in SOURCES
+        for function, line in _calls_to(path.read_text(), "enumerate_family")
+        if (path.name, function) in checks
+    ]
+    assert found == []
 
 
 def _dicts_with_key(source, key):
