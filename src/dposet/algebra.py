@@ -38,13 +38,13 @@ from .poset_core import (
     SpecialPoset,
     _restrict,
     _up_sets,
-    _within_budget,
     _word_budget,
     compose,
     enumerate_family,
     extension_words,
     inverse_word,
     is_special,
+    max_degree,
     parse_poset,
 )
 
@@ -677,45 +677,48 @@ def _picture_count(P, Q):
     return count
 
 
-def _picture_pairing(P, Q):
-    """Picture count of two same-size double posets, cached up to order."""
-    return _picture_count(*sorted((P, Q), key=DoublePoset.sort_key))
-
-
 @lru_cache(maxsize=8192)
 def _extensions(P):
     """The linear extensions of a special poset as words, in lexicographic
-    order: the one table of them, read by theta, the special pairing, the
-    Gram matrix and the pairing radical.
+    order: the one table of them, read through :func:`_image` on posets that
+    no enumeration or degree check bounds.
 
     An entry takes at most 10 KB at degree 5 and 68 KB at degree 6 (the
     antichain's ``n!`` words).  All 4,231 special posets of degree 5 fit in
     the bound and take 3.9 MB together.  An entry outlives the cap it was made
-    under, so a reader of a poset that no enumeration bounds checks it again
-    (``poset_core._within_budget``).
+    under, so :func:`_image` checks it again.
     """
     return extension_words(P)
 
 
-def _image_pairing(x, y):
-    """The unnormalized pairing of two lists of ``(special poset,
-    coefficient)`` terms through theta's image, an isometry onto the
-    permutations, where a permutation pairs to 1 with its inverse only:
-    theta(x) is accumulated once as word -> coefficient, and each term
-    ``d*Q`` of y adds ``d`` times the coefficients of the inverses of Q's
-    extension words."""
+def _image(terms, budget):
+    """theta's image of a collection of ``(special poset, coefficient)``
+    terms, as word -> coefficient.  Every term is checked special before any
+    words are read, and an entry with more words than ``budget`` is refused;
+    a public call reads the budget once."""
+    if not all(is_special(P) for P, _ in terms):
+        raise ValueError("not a special poset")
     image = {}
-    budget = _word_budget()
-    for P, c in x:
-        for word in _within_budget(_extensions(P), budget):
-            image[word] = image.get(word, 0) + c
     get = image.get
-    total = 0
-    for Q, d in y:
-        v = sum(get(inverse_word(word), 0) for word in _within_budget(_extensions(Q), budget))
-        if v:
-            total += d * v
-    return total
+    for P, c in terms:
+        words = _extensions(P)
+        if len(words) > budget:
+            raise ValueError("too many linear extensions")
+        for word in words:
+            old = get(word)
+            image[word] = c if old is None else old + c  # no Fraction sum on a first word
+    return image
+
+
+def _image_pairing(x, y):
+    """The unnormalized pairing of two collections of ``(special poset,
+    coefficient)`` terms through theta, an isometry onto the permutations,
+    where a permutation pairs to 1 with its inverse only: the sum over words
+    ``w`` of theta(x)(w) * theta(y)(w^-1)."""
+    budget = _word_budget()
+    left = _image(x, budget)
+    get = _image(y, budget).get
+    return sum(c * d for word, c in left.items() if (d := get(inverse_word(word))))
 
 
 def pairing_basis(P, Q):
@@ -726,13 +729,16 @@ def pairing_basis(P, Q):
     Two routes give this count.  When both posets are special it is the
     number of linear extensions of P whose inverse is a linear extension of
     Q, the one-term case of :func:`_image_pairing`.  Otherwise the
-    bijections (pictures) are counted directly.
+    bijections (pictures) are counted directly, refused past the degree cap
+    as the search may try all ``n!`` of them.
     """
     if P.n != Q.n:
         return 0
     if is_special(P) and is_special(Q):
         return _image_pairing(((P, 1),), ((Q, 1),))
-    return _picture_pairing(P, Q)
+    if P.n > max_degree():
+        raise ValueError("degree too large")
+    return _picture_count(P, Q)
 
 
 def _key_pairing(a, b):
@@ -822,7 +828,7 @@ def _gram_of(basis):
     rows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            v = _picture_pairing(basis[i], basis[j])
+            v = _picture_count(basis[i], basis[j])
             rows[i][j] = v
             rows[j][i] = v
     return rows

@@ -19,23 +19,22 @@
   interval of the right weak order (characterizes special plane posets),
   tested by adjacent swaps inside the set of extension words.
 
-Linear extensions are read from ``algebra._extensions``, the one table that
-the special pairing and the Gram matrix read too; a reader whose poset no
-enumeration bounds checks the entry against the current degree cap.
+theta, linear extensions, the weak-order test and the special pairing read
+``algebra._extensions`` through one gate, ``algebra._image``: it refuses a
+non-special term before any words, then an entry past the call's word budget.
 """
 
 import heapq
 import itertools
 from math import factorial
 
-from .algebra import LinComb, _extensions, _gram_basis, _gram_of, _theta_incidence, as_lincomb
+from .algebra import LinComb, _extensions, _gram_basis, _gram_of, _image, _theta_incidence, as_lincomb
 from .fqsym import Permutation
 from .linalg import _sparse_kernel
 from .poset_core import (
     DoublePoset,
     SpecialPoset,
     _special,
-    _within_budget,
     _word_budget,
     is_heap_forest,
     is_plane,
@@ -65,9 +64,7 @@ __all__ = [
 def linear_extensions(P):
     """All words listing the labels of ``P`` so that lower comes before
     higher in the first order, as permutations, in lexicographic order."""
-    if not is_special(P):
-        raise ValueError("not a special poset")
-    return [Permutation._trusted(word) for word in _within_budget(_extensions(P), _word_budget())]
+    return [Permutation._trusted(word) for word in _image(((P, 1),), _word_budget())]
 
 
 def theta(x):
@@ -76,15 +73,8 @@ def theta(x):
     A surjective Hopf-algebra morphism from special posets onto the
     permutation space, isometric for the two pairings.
     """
-    x = as_lincomb(x)
-    if not all(is_special(P) for P, _ in x.items()):
-        raise ValueError("not a special poset")
-    budget = _word_budget()
-    return LinComb(
-        (Permutation._trusted(w), c)
-        for P, c in x.items()
-        for w in _within_budget(_extensions(P), budget)
-    )
+    image = _image(as_lincomb(x).items(), _word_budget())
+    return LinComb((Permutation._trusted(w), c) for w, c in image.items())
 
 
 # -- the permutation <-> plane poset bijections ----------------------------------
@@ -315,9 +305,7 @@ def bruhat_interval_check(P):
     two adjacent letters that decrease) stays inside it, and exactly one of
     its words, the top, has no ascent whose swap is inside it.
     """
-    if not is_special(P):
-        raise ValueError("not a special poset")
-    words = set(_within_budget(_extensions(P), _word_budget()))
+    words = _image(((P, 1),), _word_budget()).keys()
     tops = 0
     for w in words:
         swaps = [(w[i] > w[i + 1], w[:i] + (w[i + 1], w[i]) + w[i + 2 :]) for i in range(len(w) - 1)]

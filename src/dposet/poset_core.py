@@ -751,14 +751,6 @@ def _word_budget():
     return factorial(max(max_degree(), 0))
 
 
-def _within_budget(words, budget):
-    """``words`` (linear extensions), refused past ``budget``, which a reader
-    takes once per call: ``algebra._extensions`` keeps them past a lowered cap."""
-    if len(words) > budget:
-        raise ValueError("too many linear extensions")
-    return words
-
-
 # The membership test of every proper family, read by both ``classify`` and
 # ``enumerate_family``.  Every special family but SP and OF is heap-ordered.
 _FAMILY_TESTS = {

@@ -35,6 +35,7 @@ from dposet.algebra import (
     tensor_of,
 )
 from dposet.fqsym import Permutation
+from dposet.morphisms import theta, upsilon
 from dposet.poset_core import (
     DoublePoset,
     SpecialPoset,
@@ -270,7 +271,7 @@ def test_gram_matrix_of_degree_two_special_posets():
 
 def picture_pairing(P, Q):
     """The definitional route: count the pictures of P against Q."""
-    return algebra._picture_pairing(P, Q)
+    return algebra._picture_count(P, Q)
 
 
 def test_extension_route_matches_pictures_on_special_pairs():
@@ -358,6 +359,15 @@ def test_picture_count_matches_the_search_alone(family, n):
         assert (proved, zeros) == (5163, 5465)
 
 
+@pytest.mark.parametrize("family, n", [("pp", 4), ("wnp", 4), ("pf", 5), ("dp", 3)])
+def test_picture_count_is_symmetric(family, n):
+    # pairing_basis and the Gram build take a pair in the order they are
+    # given it; 66,384 pairs in all, and the count never depends on it
+    basis = enumerate_family(family, n)
+    count = algebra._picture_count
+    assert all(count(P, Q) == count(Q, P) for i, P in enumerate(basis) for Q in basis[i + 1 :])
+
+
 def test_picture_count_skips_the_search_on_pairs_the_set_sizes_reject(monkeypatch):
     # the pp 5 Gram build counts each of its 120 * 121 / 2 unordered pairs
     # once; 5,163 of them are proved empty and only 2,097 searched
@@ -399,6 +409,13 @@ def test_image_pairing_matches_the_term_pairs(monkeypatch, seed):
     mixed = combination(sp4, 20) + combination(sp5, 20) + GaussRat(1, 2) * combination(sp4, 5)
     plane = mixed + LinComb.basis(plane_version(enumerate_family("spp", 4)[rng.randrange(24)]))
     one, other = LinComb.basis(rng.choice(sp5)), LinComb.basis(rng.choice(sp5))
+    gauss = LinComb(
+        (P, GaussRat(c, Fraction(rng.randint(1, 9), 2))) for P, c in combination(sp4, 20).items()
+    )
+    # theta's image of z - upsilon(z) cancels, so it pairs to 0 with everything
+    z = combination(sp4, 20)
+    null = z - upsilon(z)
+    assert null and not theta(null)
     cases = [
         (x, y),
         (x, mixed),
@@ -409,8 +426,11 @@ def test_image_pairing_matches_the_term_pairs(monkeypatch, seed):
         (one, one),
         (LinComb.zero(), x),
         (mixed, LinComb.zero()),
+        (mixed, gauss),
+        *((null, LinComb.basis(P)) for P in sp4),
     ]
     want = [pairing_by_pictures(a, b) for a, b in cases]
+    assert not any(want[-len(sp4) :])
     calls = []
     by_basis = algebra.pairing_basis
     monkeypatch.setattr(algebra, "pairing_basis", lambda P, Q: calls.append(P) or by_basis(P, Q))

@@ -354,7 +354,8 @@ def test_upsilon_refuses_the_degree_before_building_theta(cli, monkeypatch):
         raise AssertionError("theta's image was built")
 
     monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
-    monkeypatch.setattr(morphisms, "_extensions", no_extensions)
+    for module in (algebra, morphisms):
+        monkeypatch.setattr(module, "_extensions", no_extensions)
     for operand, message in (
         ("SP(7;)", "degree too large"),
         ("SP(1;) + SP(7;)", "degree too large"),
@@ -518,6 +519,27 @@ LONG_CHAIN = "SP(1200; " + ", ".join(f"{a}<{a + 1}" for a in range(1, 1200)) + "
 )
 def test_a_chain_longer_than_the_recursion_limit_has_its_one_extension(cli, argv, out):
     assert cli(*argv) == (0, out, "")
+
+
+def test_a_plane_pair_past_the_cap_is_refused_before_the_picture_search(cli, monkeypatch):
+    # the search recurses once per label and may try all n! bijections, so a
+    # pair past the cap is refused before it, with no traceback
+    chain = ", ".join(f"{a}<{a + 1}" for a in range(1, 1200))
+    monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
+    assert cli("pair", f"PP(1200; h: {chain}; r:)", f"PP(1200; h:; r: {chain})") == (
+        1,
+        "",
+        "error: degree too large\n",
+    )
+
+
+def test_a_plane_pair_is_answered_up_to_the_cap(cli, monkeypatch):
+    chain = "1<2, 2<3, 3<4, 4<5, 5<6, 6<7"
+    argv = ("pair", f"PP(7; h: {chain}; r:)", f"PP(7; h:; r: {chain})")
+    monkeypatch.delenv("DPOSET_MAX_DEGREE", raising=False)
+    assert cli(*argv) == (1, "", "error: degree too large\n")
+    monkeypatch.setenv("DPOSET_MAX_DEGREE", "7")
+    assert cli(*argv) == (0, "1\n", "")
 
 
 @pytest.mark.parametrize(

@@ -214,6 +214,25 @@ def test_linear_extensions_are_kept_in_one_table():
     ]
     assert found == [("algebra.py", "_extensions")]
     assert morphisms._extensions is algebra._extensions
+    # posets that no enumeration bounds are read through the one gate,
+    # algebra._image, which checks them special and within the word budget
+    readers = {
+        (path.name, function)
+        for path in SOURCES
+        for function, _ in _calls_to(path.read_text(), "_extensions")
+    }
+    assert readers == {
+        ("algebra.py", "_image"),
+        ("algebra.py", "_theta_incidence"),
+        ("algebra.py", "_gram_by_extensions"),
+        ("morphisms.py", "theta_hof_inverse"),
+    }
+    gone = {"_within_budget", "_picture_pairing"}
+    for path in SOURCES:
+        source = path.read_text()
+        defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+        assert not gone & defined, path.name
+        assert not [name for name in gone if _calls_to(source, name)], path.name
 
 
 # The one construction path of trusted values: posets from closed masks, and

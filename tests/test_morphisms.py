@@ -5,11 +5,12 @@ import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from dposet import morphisms
+from dposet import morphisms, poset_core
 from dposet.algebra import GaussRat, LinComb, format_lincomb, gram_matrix, pairing, parse_lincomb
 from dposet.fqsym import (
     Permutation,
@@ -561,3 +562,36 @@ def test_a_cap_lowered_between_two_calls_is_still_enforced(monkeypatch, call, me
     monkeypatch.setenv("DPOSET_MAX_DEGREE", "3")
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_theta_refuses_a_non_special_term_before_reading_any_words(monkeypatch):
+    # the antichain of 5 is listed first and is past the cap 3's budget, yet
+    # every term is checked special before any words are read
+    monkeypatch.setenv("DPOSET_MAX_DEGREE", "3")
+    x = parse_lincomb("SP(5;) + PP(2; h: 1<2; r:)")
+    assert next(iter(x.items()))[0] == parse_poset("SP(5;)")
+    with pytest.raises(ValueError, match="not a special poset"):
+        theta(x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: theta(parse_lincomb("SP(3;) - 2*SP(3; 1<2) + 1/2*SP(4; 2<1)")),
+        lambda: pairing(parse_lincomb("SP(3;) + SP(3; 2<3)"), parse_lincomb("I*SP(3; 1<3) - SP(3;)")),
+        lambda: linear_extensions(parse_poset("SP(4; 1<3)")),
+        lambda: bruhat_interval_check(parse_poset("SP(4; 1<3, 2<3)")),
+    ],
+    ids=["theta", "pairing", "linear_extensions", "bruhat_interval_check"],
+)
+def test_a_call_reads_the_word_budget_once(monkeypatch, call):
+    # with the table warm, only the public call reads the budget, whatever
+    # the number of its terms
+    call()
+    reads = []
+    budget = poset_core._word_budget
+    for module in list(sys.modules.values()):
+        if getattr(module, "_word_budget", None) is budget:
+            monkeypatch.setattr(module, "_word_budget", lambda: reads.append(1) or budget())
+    call()
+    assert len(reads) == 1
